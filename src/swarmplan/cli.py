@@ -27,7 +27,7 @@ import numpy as np
 
 from .problem import PlanningConfig
 from .scenario import Scenario, ScenarioError, antipodal, generate_random, load_scenario
-from .sim import run_mission
+from .sim import MISSION_TIME_LIMIT, run_mission
 from .solver import SolverConfig
 
 CSV_COLUMNS = [
@@ -98,19 +98,14 @@ def _write_dump(report, path) -> None:
     Path(path).write_text(json.dumps(report.trajectory, sort_keys=True), encoding="utf-8")
 
 
-def cmd_run(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except (OSError, ScenarioError) as exc:
-        print(f"cannot load scenario: {exc}", file=sys.stderr)
-        return 1
+def _run_and_write(scenario: Scenario, args, time_limit: float = MISSION_TIME_LIMIT):
+    """Run one mission from the solver flags; write its report (``--out`` or stdout) and ``--dump``."""
     report = run_mission(
         scenario,
         _planning_config(scenario, args.gamma),
         _solver_config(args),
         mode=args.mode,
-        parallel=args.threads > 1 and not args.deterministic,
-        time_limit=args.time_limit,
+        time_limit=time_limit,
         record_trajectory=args.dump is not None,
     )
     if args.out:
@@ -119,6 +114,16 @@ def cmd_run(args) -> int:
         print(report.to_json())
     if args.dump:
         _write_dump(report, args.dump)
+    return report
+
+
+def cmd_run(args) -> int:
+    try:
+        scenario = load_scenario(args.scenario)
+    except (OSError, ScenarioError) as exc:
+        print(f"cannot load scenario: {exc}", file=sys.stderr)
+        return 1
+    report = _run_and_write(scenario, args, args.time_limit)
     print(
         f"success={report.success} mission_time={report.mission_time:.1f}s "
         f"rounds={report.rounds} collisions={len(report.collision_events)}",
@@ -228,7 +233,7 @@ def cmd_sweep(args) -> int:
 
     rows = []
     failures = 0
-    jobs = 1 if args.deterministic else max(1, args.jobs)
+    jobs = max(1, args.jobs)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [(spec, pool.submit(_run_trial, spec)) for spec in specs]
@@ -262,20 +267,7 @@ def cmd_antipodal(args) -> int:
     except ScenarioError as exc:
         print(f"invalid antipodal spec: {exc}", file=sys.stderr)
         return 1
-    report = run_mission(
-        scenario,
-        _planning_config(scenario, args.gamma),
-        _solver_config(args),
-        mode=args.mode,
-        parallel=args.threads > 1 and not args.deterministic,
-        record_trajectory=args.dump is not None,
-    )
-    if args.out:
-        _write_report(report, args.out)
-    else:
-        print(report.to_json())
-    if args.dump:
-        _write_dump(report, args.dump)
+    _run_and_write(scenario, args)
     return 0
 
 
@@ -297,8 +289,6 @@ def _add_common_solver_flags(parser):
     parser.add_argument("--gamma", type=float, default=1.0, help="barrier constant in [0, 1]")
     parser.add_argument("--maxiter", type=int, default=SolverConfig.maxiter)
     parser.add_argument("--threshold", type=float, default=SolverConfig.threshold)
-    parser.add_argument("--threads", type=int, default=1, help="in-mission solver threads")
-    parser.add_argument("--deterministic", action="store_true", help="force single-threaded execution")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", help="scenario YAML path")
     p_run.add_argument("--out", help="write the mission report JSON here")
     p_run.add_argument("--dump", help="write a per-round trajectory dump JSON here")
-    p_run.add_argument("--time-limit", type=float, default=20.0)
+    p_run.add_argument("--time-limit", type=float, default=MISSION_TIME_LIMIT)
     _add_common_solver_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -325,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--dump", action="store_true", help="also write per-trial trajectory dumps")
     p_sweep.add_argument("--maxiter", type=int, default=SolverConfig.maxiter)
     p_sweep.add_argument("--threshold", type=float, default=SolverConfig.threshold)
-    p_sweep.add_argument("--deterministic", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_anti = sub.add_parser("antipodal", help="run a circle position-exchange mission")

@@ -10,7 +10,7 @@ be approached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,36 +105,36 @@ def project_angles(diff: np.ndarray, d, shape: EllipsoidShape) -> tuple[np.ndarr
     return alpha, beta
 
 
-def _magnitude_vertex(diff: np.ndarray, wx, wy, wz, axes: np.ndarray) -> np.ndarray:
-    """Unconstrained minimizer of the per-row quadratic in the magnitude."""
-    sx, sy, sz = axes[..., 0], axes[..., 1], axes[..., 2]
-    num = sx * diff[..., 0] * wx + sy * diff[..., 1] * wy + sz * diff[..., 2] * wz
-    den = (sx * wx) ** 2 + (sy * wy) ** 2 + (sz * wz) ** 2
-    return num, den
+def clipped_magnitude(diff: np.ndarray, omega_rows: np.ndarray, scales, lo, hi) -> np.ndarray:
+    """Closed-form clipped magnitude update, one row per constraint.
+
+    Row ``i`` minimizes ``||diff[i] - scales[i] * d * omega_rows[i]||^2`` over
+    scalar ``d`` (a single-variable quadratic) and clips the vertex into
+    ``[lo[i], hi[i]]``.  ``diff`` and ``omega_rows`` are ``n x 3``; ``scales``
+    broadcasts against them and ``lo``/``hi`` against the rows.  A vanishing
+    quadratic coefficient (possible only for degenerate scales) falls back to
+    the lower bound.
+    """
+    scaled_dir = scales * omega_rows
+    num = np.einsum("ij,ij->i", diff, scaled_dir)
+    den = np.einsum("ij,ij->i", scaled_dir, scaled_dir)
+    safe = den > _DEGENERATE_DEN
+    vertex = np.where(safe, num / np.where(safe, den, 1.0), lo)
+    return np.clip(vertex, lo, hi)
 
 
 def solve_magnitude(diff: np.ndarray, alpha, beta, shape: EllipsoidShape, lo, hi) -> np.ndarray:
-    """Closed-form clipped magnitude update.
+    """:func:`clipped_magnitude` for the direction ``omega(alpha, beta)`` and one shape.
 
-    Minimizes ``||diff - (a,b,c) * d * omega(alpha, beta)||^2`` over scalar
-    ``d`` per row (a single-variable quadratic) and clips the vertex into
-    ``[lo, hi]``.  A vanishing quadratic coefficient (possible only for
-    degenerate shapes) falls back to the lower bound.
+    Minimizes ``||diff - (a,b,c) * d * omega(alpha, beta)||^2`` over ``d``
+    per row and clips into ``[lo, hi]``; a single difference vector gives a
+    float.
     """
     diff = np.asarray(diff, dtype=float)
-    single = diff.ndim == 1
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    sb = np.sin(beta)
-    wx, wy, wz = np.cos(alpha) * sb, np.sin(alpha) * sb, np.cos(beta)
-    num, den = _magnitude_vertex(np.atleast_2d(diff), wx, wy, wz, shape.as_array)
-    lo_arr = np.broadcast_to(np.asarray(lo, dtype=float), num.shape)
-    safe_den = np.where(den > _DEGENERATE_DEN, den, 1.0)
-    vertex = np.where(den > _DEGENERATE_DEN, num / safe_den, lo_arr)
-    clipped = np.clip(vertex, lo, hi)
-    if single:
-        return float(clipped[0])
-    return clipped
+    d = clipped_magnitude(np.atleast_2d(diff), np.atleast_2d(omega(alpha, beta)), shape.as_array, lo, hi)
+    if diff.ndim == 1:
+        return float(d[0])
+    return d
 
 
 def bf_lower_bound(d_prev, gamma: float):

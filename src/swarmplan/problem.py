@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import null_space, pinv
 
 from .bernstein import BasisSet
-from .polar import EllipsoidShape, PolarVars
+from .polar import EllipsoidShape, PolarVars, omega
 
 GRAVITY = 9.81
 
@@ -61,6 +61,8 @@ class PlanningConfig:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if np.any(np.asarray(self.p_min) >= np.asarray(self.p_max)):
             raise ValueError("workspace bounds require p_min < p_max componentwise")
+        if self.w_goal < 0 or self.w_smooth < 0:
+            raise ValueError(f"cost weights must be nonnegative, got w_goal={self.w_goal}, w_smooth={self.w_smooth}")
 
 
 @dataclass
@@ -227,10 +229,6 @@ class PlanningProblem:
         self.col_rows = slice(2 * K, self.n_rows)
         self.anchors = anchors
 
-        self.xi_x = centers[self.col_rows, 0].copy()
-        self.xi_y = centers[self.col_rows, 1].copy()
-        self.xi_z = centers[self.col_rows, 2].copy()
-
         # Solver precomputation: transposes for the multiplier updates, the
         # rho-independent Gram matrix, and an exact elimination of C z = e
         # (particular solution plus orthonormal null-space basis).
@@ -242,7 +240,6 @@ class PlanningProblem:
         self.zeta_particular = pinv(self.C) @ self.e
         if not np.allclose(self.C @ self.zeta_particular, self.e, atol=1e-9):
             raise ValueError("initial conditions are inconsistent with the basis degree")
-        self.dual_pinv = pinv(self.C.T)
         self._kkt_cache: dict[float, tuple] = {}
 
     def stack_samples(self, pos: np.ndarray, vel: np.ndarray, acc: np.ndarray) -> np.ndarray:
@@ -273,7 +270,6 @@ def build_b(problem: PlanningProblem, polar: PolarVars, _omega_rows: np.ndarray 
     if polar.d.shape != (problem.n_rows,):
         raise ValueError(f"polar variables must have {problem.n_rows} rows, got {polar.d.shape}")
     if _omega_rows is None:
-        sb = np.sin(polar.beta)
-        _omega_rows = np.stack([np.cos(polar.alpha) * sb, np.sin(polar.alpha) * sb, np.cos(polar.beta)], axis=1)
+        _omega_rows = omega(polar.alpha, polar.beta)
     rows = problem.centers + problem.scales * (polar.d[:, None] * _omega_rows)
     return rows.T.ravel()

@@ -19,15 +19,16 @@ import numpy as np
 import yaml
 
 from .polar import EllipsoidShape
+from .problem import PlanningConfig
 
 CYLINDER_HALF_HEIGHT = 1e6
 MAX_REJECTION_ATTEMPTS = 100_000
 
-# Mirrors the planner defaults; kept local so scenario generation does not
-# depend on the problem module.
-_AGENT_PLANNING_XY = 0.17
-_COLL_SHAPE = np.array([0.13, 0.13, 0.40])
-_PADDING = np.array([0.2, 0.2, 0.2])
+# The planner's default envelope shapes.
+_PLANNER = PlanningConfig()
+_AGENT_PLANNING_XY = _PLANNER.theta_agent.a
+_COLL_SHAPE = _PLANNER.theta_coll.as_array
+_PADDING = _PLANNER.theta_padding.as_array
 _SEPARATION_MARGIN = 0.1
 
 
@@ -218,9 +219,13 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario YAML file."""
-    doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    """Parse and validate a scenario YAML file.
+
+    An unreadable file raises :class:`OSError`; a file that is not a valid
+    scenario raises :class:`ScenarioError`.
+    """
     try:
+        doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         agents = [(a["start"], a["goal"]) for a in doc["agents"]]
         obstacles = [
             Obstacle(
@@ -237,7 +242,7 @@ def load_scenario(path) -> Scenario:
             obstacles=obstacles,
             workspace=(doc["workspace"]["min"], doc["workspace"]["max"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (yaml.YAMLError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario file {path}: {exc}") from exc
     validate(scenario)
     return scenario

@@ -7,15 +7,14 @@ one step with perfect tracking of the freshly planned trajectories.  Rounds
 repeat until every agent reaches its goal, a collision is declared on the
 executed states, or the mission clock runs out.
 
-Within a round the per-agent solves are independent and may run on a thread
-pool; results are always aggregated in agent-index order, so reports are
-identical in single- and multi-threaded runs (wall-clock timings aside).
+The agents of a round are planned one after another in agent-index order, on
+the calling thread; a scenario plus configuration determines the report
+(wall-clock timings aside).
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,7 +154,6 @@ def run_mission(
     planning_config: PlanningConfig | None = None,
     solver_config: SolverConfig | None = None,
     mode: str = "standard",
-    parallel: bool = False,
     time_limit: float = MISSION_TIME_LIMIT,
     goal_tol_pos: float = GOAL_TOL_POS,
     goal_tol_vel: float = GOAL_TOL_VEL,
@@ -193,73 +191,59 @@ def run_mission(
     nonconverged = 0
     success = timeout = False
 
-    shifted: list[np.ndarray] = []
-    obstacle_tracks: list[tuple] = []
+    while True:
+        positions = np.array([snap.position for snap in world.snapshots])
+        velocities = np.array([snap.velocity for snap in world.snapshots])
 
-    def solve_one(i: int):
-        neighbor_plans = {j: shifted[j] for j in range(n_agents) if j != i}
-        targets = detect_conflicts(shifted[i], neighbor_plans, obstacle_tracks, config)
-        problem = assemble(world.snapshots[i], targets, basis, config)
-        zeta, diag = solve(problem, None, solver_config, mode)
-        return sample_trajectory(basis, zeta), diag
-
-    pool = ThreadPoolExecutor(max_workers=min(n_agents, 8)) if parallel and n_agents > 1 else None
-    try:
-        while True:
-            positions = np.array([snap.position for snap in world.snapshots])
-            velocities = np.array([snap.velocity for snap in world.snapshots])
-
-            pair_metrics = _pair_metrics(positions, config.theta_coll.as_array)
-            min_inter.append(min((m for *_, m in pair_metrics), default=None))
-            obs_metrics = [
-                float(np.linalg.norm((positions[i] - obs.center) / axes))
-                for obs, axes in zip(world.obstacles, declared_axes)
-                for i in range(n_agents)
-            ]
-            min_obstacle.append(min(obs_metrics, default=None))
-            if record_trajectory:
-                trajectory_rounds.append(
-                    {
-                        "positions": positions.tolist(),
-                        "velocities": velocities.tolist(),
-                        "obstacle_centers": [obs.center.tolist() for obs in world.obstacles],
-                    }
-                )
-
-            violations = check_collision(
-                positions, [(o.center, ax) for o, ax in zip(world.obstacles, declared_axes)], config.theta_coll
+        pair_metrics = _pair_metrics(positions, config.theta_coll.as_array)
+        min_inter.append(min((m for *_, m in pair_metrics), default=None))
+        obs_metrics = [
+            float(np.linalg.norm((positions[i] - obs.center) / axes))
+            for obs, axes in zip(world.obstacles, declared_axes)
+            for i in range(n_agents)
+        ]
+        min_obstacle.append(min(obs_metrics, default=None))
+        if record_trajectory:
+            trajectory_rounds.append(
+                {
+                    "positions": positions.tolist(),
+                    "velocities": velocities.tolist(),
+                    "obstacle_centers": [obs.center.tolist() for obs in world.obstacles],
+                }
             )
-            if violations:
-                collision_events.extend((world.round_index, a, b, m) for a, b, m in violations)
-                break
-            if all(check_goal_reached(s, s.goal, goal_tol_pos, goal_tol_vel) for s in world.snapshots):
-                success = True
-                break
-            if world.elapsed > time_limit + 1e-9:
-                timeout = True
-                break
 
-            shifted = [_shift_plan(p) for p, _ in world.plans]
-            obstacle_tracks = [(o.shape, o.predicted_centers(K, dt)) for o in world.obstacles]
+        violations = check_collision(
+            positions, [(o.center, ax) for o, ax in zip(world.obstacles, declared_axes)], config.theta_coll
+        )
+        if violations:
+            collision_events.extend((world.round_index, a, b, m) for a, b, m in violations)
+            break
+        if all(check_goal_reached(s, s.goal, goal_tol_pos, goal_tol_vel) for s in world.snapshots):
+            success = True
+            break
+        if world.elapsed > time_limit + 1e-9:
+            timeout = True
+            break
 
-            if pool is not None:
-                results = list(pool.map(solve_one, range(n_agents)))
-            else:
-                results = [solve_one(i) for i in range(n_agents)]
-
-            for i, ((pos, vel, acc), diag) in enumerate(results):
-                per_agent_compute[i].append(diag.wall_time_us)
-                nonconverged += not diag.converged
-                world.snapshots[i] = AgentSnapshot(
-                    position=pos[1], goal=world.snapshots[i].goal, velocity=vel[1], acceleration=acc[1]
-                )
-                world.plans[i] = (pos, vel)
-            for obs in world.obstacles:
-                obs.center = obs.center + obs.velocity * dt
-            world.round_index += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        # Every agent plans from the plans published last round, so updating
+        # agent i's state and plan below cannot affect a later agent's solve.
+        shifted = [_shift_plan(p) for p, _ in world.plans]
+        obstacle_tracks = [(o.shape, o.predicted_centers(K, dt)) for o in world.obstacles]
+        for i in range(n_agents):
+            neighbor_plans = {j: shifted[j] for j in range(n_agents) if j != i}
+            targets = detect_conflicts(shifted[i], neighbor_plans, obstacle_tracks, config)
+            problem = assemble(world.snapshots[i], targets, basis, config)
+            zeta, diag = solve(problem, None, solver_config, mode)
+            pos, vel, acc = sample_trajectory(basis, zeta)
+            per_agent_compute[i].append(diag.wall_time_us)
+            nonconverged += not diag.converged
+            world.snapshots[i] = AgentSnapshot(
+                position=pos[1], goal=world.snapshots[i].goal, velocity=vel[1], acceleration=acc[1]
+            )
+            world.plans[i] = (pos, vel)
+        for obs in world.obstacles:
+            obs.center = obs.center + obs.velocity * dt
+        world.round_index += 1
 
     report = MissionReport(
         success=success,

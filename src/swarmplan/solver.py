@@ -21,13 +21,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from .bernstein import sample_trajectory
-from .polar import PolarVars, _project_scaled
+from .polar import PolarVars, _project_scaled, bf_lower_bound, clipped_magnitude, omega
 from .problem import PlanningProblem, build_b
-
-_DEGENERATE_DEN = 1e-12
 
 MODES = ("standard", "bf")
 
@@ -52,7 +50,6 @@ class SolverConfig:
     threshold: float = 0.01
     rho_base: float = 1.3
     rho_cap: float = 5e5
-    kkt_epsilon: float = 1e-9
     polish_budget: int = 64
     settle_passes: int = 5
     residual_floor: float = 1e-8
@@ -62,6 +59,11 @@ class SolverConfig:
             raise ValueError(f"maxiter must be >= 1, got {self.maxiter}")
         if self.threshold <= 0:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
+        # rho >= 1 keeps the reduced S1 Hessian positive definite (see step_s1).
+        if self.rho_base < 1:
+            raise ValueError(f"rho_base must be >= 1, got {self.rho_base}")
+        if self.rho_cap < 1:
+            raise ValueError(f"rho_cap must be >= 1, got {self.rho_cap}")
         if self.polish_budget < 0:
             raise ValueError(f"polish_budget must be >= 0, got {self.polish_budget}")
         if self.settle_passes < 1:
@@ -116,7 +118,6 @@ class SolveDiagnostics:
     ineq_residual: float
     converged: bool
     wall_time_us: float
-    kkt_regularized: bool = False
     state: SolverState | None = field(default=None, repr=False)
 
     @property
@@ -135,55 +136,43 @@ class SolveDiagnostics:
         }
 
 
-def _kkt_factors(problem: PlanningProblem, rho: float, epsilon: float) -> tuple:
+def _kkt_factors(problem: PlanningProblem, rho: float) -> tuple:
     """Cached factorization pieces of the reduced S1 system for one ``rho``.
 
-    Returns ``(cho, A_hat, v, regularized)`` where ``cho`` factors the reduced
-    Hessian ``Z' A_hat Z`` and ``v = Z' A_hat z_particular``.  A factorization
-    failure regularizes the ``A_hat`` block by ``epsilon`` on the diagonal.
+    Returns ``(cho, v)`` where ``cho`` factors the reduced Hessian
+    ``Z' A_hat Z`` and ``v = Z' A_hat z_particular``.
     """
     cached = problem._kkt_cache.get(rho)
     if cached is not None:
         return cached
     Z, ZT = problem.null_basis, problem.null_basis_T
     A_hat = problem.Q + rho * problem.gram
-    regularized = False
-    try:
-        cho = cho_factor(ZT @ A_hat @ Z, lower=True, check_finite=False)
-    except LinAlgError:
-        regularized = True
-        A_hat = A_hat + epsilon * np.eye(problem.n_coeffs)
-        cho = cho_factor(ZT @ A_hat @ Z, lower=True, check_finite=False)
+    cho = cho_factor(ZT @ A_hat @ Z, lower=True, check_finite=False)
     v = ZT @ (A_hat @ problem.zeta_particular)
-    entry = (cho, A_hat, v, regularized)
+    entry = (cho, v)
     problem._kkt_cache[rho] = entry
     return entry
 
 
-def step_s1(
-    problem: PlanningProblem,
-    state: SolverState,
-    b: np.ndarray | None = None,
-    with_dual: bool = True,
-    epsilon: float = 1e-9,
-) -> tuple[np.ndarray, np.ndarray | None]:
+def step_s1(problem: PlanningProblem, state: SolverState, b: np.ndarray | None = None) -> np.ndarray:
     """Coefficient update: minimize the penalized objective subject to ``C z = e``.
 
     The equality block is eliminated exactly through the precomputed
     particular solution and null-space basis, so ``C z = e`` holds to machine
-    precision; the optional second return value is the equality dual vector.
+    precision.  ``C`` pins only coefficients 0-2 of each axis, so the reduced
+    Hessian is congruent to the free block of ``Q + rho * gram``.  ``Q`` is
+    positive semidefinite for nonnegative cost weights and ``gram`` holds
+    the workspace rows' ``W'W``, positive definite once ``K >= n + 1``; the
+    configurations enforce the weights and ``rho >= 1``.  A singular reduced
+    system raises :class:`numpy.linalg.LinAlgError`.
     """
     if b is None:
         b = build_b(problem, state.polar)
     rho = state.rho
     rhs = -problem.q + state.lam + rho * (problem.AT @ b) + rho * (problem.GT @ (problem.h - state.slack))
-    cho, A_hat, v, _ = _kkt_factors(problem, rho, epsilon)
+    cho, v = _kkt_factors(problem, rho)
     y = cho_solve(cho, problem.null_basis_T @ rhs - v, check_finite=False)
-    zeta = problem.zeta_particular + problem.null_basis @ y
-    if not with_dual:
-        return zeta, None
-    mu = problem.dual_pinv @ (rhs - A_hat @ zeta)
-    return zeta, mu
+    return problem.zeta_particular + problem.null_basis @ y
 
 
 def _sampled(problem: PlanningProblem, zeta1: np.ndarray):
@@ -225,29 +214,19 @@ def step_s3(
     if samples is None:
         *_, samples = _sampled(problem, state.zeta1)
     if omega_rows is None:
-        sb = np.sin(state.polar.beta)
-        omega_rows = np.stack(
-            [np.cos(state.polar.alpha) * sb, np.sin(state.polar.alpha) * sb, np.cos(state.polar.beta)], axis=1
-        )
-    diff = samples - problem.centers
-    scaled_dir = problem.scales * omega_rows
-    num = np.einsum("ij,ij->i", diff, scaled_dir)
-    den = np.einsum("ij,ij->i", scaled_dir, scaled_dir)
+        omega_rows = omega(state.polar.alpha, state.polar.beta)
     lo = problem.lo_base
     if mode == "bf" and problem.M:
-        gamma = problem.config.gamma
         d_prev = state.polar.d[problem.col_rows].reshape(problem.M, problem.K)
         shifted = np.empty_like(d_prev)
         shifted[:, 0] = problem.anchors
         shifted[:, 1:] = d_prev[:, :-1]
-        bound = 1.0 + (1.0 - gamma) * (shifted - 1.0)
+        bound = bf_lower_bound(shifted, problem.config.gamma)
         # Step 0 is pinned to the measured state; never ask for more than it has.
         bound[:, 0] = np.minimum(bound[:, 0], lo[problem.col_rows][:: problem.K])
         lo = lo.copy()
         lo[problem.col_rows] = bound.ravel()
-    safe = den > _DEGENERATE_DEN
-    vertex = np.where(safe, num / np.where(safe, den, 1.0), lo)
-    return np.clip(vertex, lo, problem.hi_bounds)
+    return clipped_magnitude(samples - problem.centers, omega_rows, problem.scales, lo, problem.hi_bounds)
 
 
 def step_s4(problem: PlanningProblem, state: SolverState, gz: np.ndarray | None = None) -> np.ndarray:
@@ -304,22 +283,19 @@ def solve(
     best_zeta = state.zeta1
     best_residual = np.inf
     converged = False
-    regularized = False
     local_iter = 0
     polish_iters = 0
     floor_hits = 0
 
     while local_iter < config.maxiter:
-        zeta, _ = step_s1(problem, state, b=b, with_dual=False, epsilon=config.kkt_epsilon)
-        regularized = regularized or problem._kkt_cache[state.rho][3]
+        zeta = step_s1(problem, state, b=b)
         state.zeta1 = zeta
         pos, vel, acc, samples = _sampled(problem, zeta)
 
         alpha, beta = step_s2(problem, state, samples=samples)
         state.polar.alpha = alpha
         state.polar.beta = beta
-        sb = np.sin(beta)
-        omega_rows = np.stack([np.cos(alpha) * sb, np.sin(alpha) * sb, np.cos(beta)], axis=1)
+        omega_rows = omega(alpha, beta)
         state.polar.d = step_s3(problem, state, mode, samples=samples, omega_rows=omega_rows)
 
         pos_axis = pos.T.ravel()
@@ -357,7 +333,6 @@ def solve(
         ineq_residual=state.ineq_residual,
         converged=converged,
         wall_time_us=wall_us,
-        kkt_regularized=regularized,
         state=state,
     )
     return best_zeta, diagnostics

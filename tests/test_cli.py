@@ -120,6 +120,26 @@ def test_validate_scenario_exit_codes(scenario_file, tmp_path, capsys):
     assert main(["validate-scenario", str(tmp_path / "missing.yaml")]) == 1
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"seed: 0\nworkspace: {min: [-2, -2, 0], max: [2, 2, 2]\nagents: []\n",
+        b"seed: 0\nworkspace: {min: [-2, -2, 0], max: [2, 2, 2]}\n"
+        b"agents:\n- {start: [0, 0, 1], goal: [1, 0, 1]}\n"
+        b"obstacles:\n- {center: [-1, 1, 1], shape: [-0.3, 0.3, 1]}\n",
+        b"seed: 0\n# \xff\xfe\n",
+    ],
+    ids=["unterminated-flow-mapping", "negative-semi-axis", "not-utf8"],
+)
+def test_malformed_scenario_file_is_a_scenario_error(tmp_path, capsys, content):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(content)
+    assert main(["run", str(bad)]) == 1
+    assert "cannot load scenario" in capsys.readouterr().err
+    assert main(["validate-scenario", str(bad)]) == 2
+    assert "invalid scenario" in capsys.readouterr().err
+
+
 def test_antipodal_subcommand(tmp_path):
     out = tmp_path / "report.json"
     assert main(["antipodal", "--agents", "2", "--radius", "1.2", "--out", str(out)]) == 0

@@ -115,9 +115,10 @@ def test_build_b_collision_rows_on_x_semi_axis(basis30, default_config):
     polar.beta[2 * K :] = np.pi / 2
     b = build_b(problem, polar)
     a = target.shape.a
-    np.testing.assert_allclose(b[2 * K : 3 * K], problem.xi_x + a, atol=1e-12)
-    np.testing.assert_allclose(b[R + 2 * K : R + 3 * K], problem.xi_y, atol=1e-12)
-    np.testing.assert_allclose(b[2 * R + 2 * K : 2 * R + 3 * K], problem.xi_z, atol=1e-12)
+    centers = target.predicted_centers
+    np.testing.assert_allclose(b[2 * K : 3 * K], centers[:, 0] + a, atol=1e-12)
+    np.testing.assert_allclose(b[R + 2 * K : R + 3 * K], centers[:, 1], atol=1e-12)
+    np.testing.assert_allclose(b[2 * R + 2 * K : 2 * R + 3 * K], centers[:, 2], atol=1e-12)
 
 
 def test_stacked_residual_matches_per_constraint_loop(basis30, default_config):
@@ -200,6 +201,15 @@ def test_planning_config_validation():
         PlanningConfig(f_min=20.0)
     with pytest.raises(ValueError):
         PlanningConfig(gamma=1.2)
+
+
+def test_planning_config_rejects_negative_cost_weights():
+    """Negative weights would make the quadratic cost indefinite."""
+    with pytest.raises(ValueError):
+        PlanningConfig(w_goal=-1.0)
+    with pytest.raises(ValueError):
+        PlanningConfig(w_smooth=-1.0)
+    PlanningConfig(w_goal=0.0, w_smooth=0.0)
 
 
 def test_constraint_target_validation():

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
 from swarmplan.bernstein import build_basis, refit_coefficients, sample_trajectory
 from swarmplan.polar import EllipsoidShape, PolarVars
@@ -43,7 +44,7 @@ def random_state(problem, rng, rho=None):
 
 def advance_one_iteration(problem, state, mode="standard"):
     """One full pass over the public step functions, updating the state."""
-    state.zeta1, _ = step_s1(problem, state, with_dual=False)
+    state.zeta1 = step_s1(problem, state)
     state.polar.alpha, state.polar.beta = step_s2(problem, state)
     state.polar.d = step_s3(problem, state, mode)
     state.slack = step_s4(problem, state)
@@ -66,7 +67,7 @@ def test_s1_zero_problem_returns_zero():
     problem.zeta_particular = np.zeros(problem.n_coeffs)
     state = SolverState.cold(problem)
     state.rho = 0.0
-    zeta, _ = step_s1(problem, state)
+    zeta = step_s1(problem, state)
     np.testing.assert_allclose(zeta, 0.0, atol=1e-12)
 
 
@@ -74,12 +75,13 @@ def test_s1_equality_feasibility_and_stationarity():
     for seed in range(10):
         problem, rng = small_problem(seed)
         state = random_state(problem, rng)
-        zeta, mu = step_s1(problem, state)
+        zeta = step_s1(problem, state)
         np.testing.assert_allclose(problem.C @ zeta, problem.e, atol=1e-8)
         b = build_b(problem, state.polar)
         A_hat = problem.Q + state.rho * problem.gram
         rhs = -problem.q + state.lam + state.rho * (problem.AT @ b) + state.rho * (problem.GT @ (problem.h - state.slack))
-        stat = A_hat @ zeta - rhs + problem.C.T @ mu
+        # Stationary along every direction that keeps C z = e.
+        stat = problem.null_basis.T @ (A_hat @ zeta - rhs)
         assert np.linalg.norm(stat) <= 1e-8 * (1.0 + np.linalg.norm(rhs))
 
 
@@ -87,7 +89,7 @@ def test_s1_matches_dense_kkt_oracle():
     for seed in range(20):
         problem, rng = small_problem(seed)
         state = random_state(problem, rng)
-        zeta, _ = step_s1(problem, state)
+        zeta = step_s1(problem, state)
         b = build_b(problem, state.polar)
         A_hat = problem.Q + state.rho * problem.gram
         rhs = -problem.q + state.lam + state.rho * (problem.AT @ b) + state.rho * (problem.GT @ (problem.h - state.slack))
@@ -109,7 +111,7 @@ def test_s1_is_constrained_minimum_of_augmented_objective():
             + 0.5 * state.rho * np.sum((problem.G @ z - problem.h + state.slack) ** 2)
         )
 
-    zeta, _ = step_s1(problem, state)
+    zeta = step_s1(problem, state)
     f0 = objective(zeta)
     for _ in range(1000):
         step = problem.null_basis @ rng.normal(0, 0.1, problem.null_basis.shape[1])
@@ -272,7 +274,7 @@ def test_s4_minimizes_penalty_among_random_nonnegative_slacks():
 def test_s5_no_update_without_residual_or_rho():
     problem, rng = small_problem(5)
     state = random_state(problem, rng)
-    state.zeta1, _ = step_s1(problem, state)
+    state.zeta1 = step_s1(problem, state)
     state.polar.alpha, state.polar.beta = step_s2(problem, state)
     state.polar.d = step_s3(problem, state, "standard")
     state.slack = step_s4(problem, state)
@@ -425,7 +427,7 @@ def test_s3_never_increases_penalty_along_solve(basis30, default_config):
     problem, _ = random_full_instance(rng, basis30, default_config)
     state = SolverState.cold(problem)
     for _ in range(40):
-        state.zeta1, _ = step_s1(problem, state)
+        state.zeta1 = step_s1(problem, state)
         state.polar.alpha, state.polar.beta = step_s2(problem, state)
         before = penalty(problem, state)
         state.polar.d = step_s3(problem, state, "standard")
@@ -446,16 +448,16 @@ def test_diagnostics_export_record(basis30, default_config):
     assert record["converged"] is True and record["wall_time_us"] > 0
 
 
-def test_s1_regularizes_singular_reduced_system():
+def test_s1_singular_reduced_system_raises():
+    """Validated configurations keep the reduced Hessian positive definite, so a
+    singular one is an error, never silently shifted."""
     problem, _ = small_problem(0, with_target=False)
     problem.Q = np.zeros_like(problem.Q)  # removes all curvature at rho = 0
     problem.q = np.zeros_like(problem.q)
     state = SolverState.cold(problem)
     state.rho = 0.0
-    zeta, _ = step_s1(problem, state)
-    assert np.all(np.isfinite(zeta))
-    np.testing.assert_allclose(problem.C @ zeta, problem.e, atol=1e-8)
-    assert problem._kkt_cache[0.0][3] is True  # regularization flag recorded
+    with pytest.raises(LinAlgError):
+        step_s1(problem, state)
 
 
 def test_solver_config_validation():
@@ -465,3 +467,13 @@ def test_solver_config_validation():
         SolverConfig(threshold=0.0)
     assert SolverConfig().rho_at(0) == 1.0
     assert SolverConfig().rho_at(100) == 5e5
+
+
+def test_solver_config_rejects_penalty_below_one():
+    """rho >= 1 at every iteration: a base below 1 would decay the penalty toward 0."""
+    with pytest.raises(ValueError):
+        SolverConfig(rho_base=0.5)
+    with pytest.raises(ValueError):
+        SolverConfig(rho_cap=0.5)
+    config = SolverConfig(rho_base=1.0, rho_cap=1.0)
+    assert config.rho_at(0) == config.rho_at(1000) == 1.0
