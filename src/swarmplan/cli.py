@@ -333,21 +333,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _gamma_error(args) -> str | None:
+    """Why the ``--gamma`` flag is unusable, or None.  ``sweep`` takes a comma-separated list."""
+    gamma = getattr(args, "gamma", None)
+    if gamma is None:
+        return None
+    try:
+        gammas = [gamma] if isinstance(gamma, float) else [float(g) for g in gamma.split(",") if g]
+    except ValueError:
+        return f"gamma values must lie in [0, 1], got {gamma!r}"
+    bad = [g for g in gammas if not 0.0 <= g <= 1.0]
+    if bad:
+        return f"gamma values must lie in [0, 1], got {bad}"
+    if args.mode == "standard" and any(g != 1.0 for g in gammas):
+        return "--gamma other than 1 needs --mode bf; standard mode ignores it"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    gamma = getattr(args, "gamma", None)
-    if isinstance(gamma, float) and not 0.0 <= gamma <= 1.0:
-        print(f"gamma must lie in [0, 1], got {gamma}", file=sys.stderr)
+    error = _gamma_error(args)
+    if error:
+        print(error, file=sys.stderr)
         return 1
-    if isinstance(gamma, str):
-        try:
-            bad = [g for g in gamma.split(",") if g and not 0.0 <= float(g) <= 1.0]
-        except ValueError:
-            bad = [gamma]
-        if bad:
-            print(f"gamma values must lie in [0, 1], got {bad}", file=sys.stderr)
-            return 1
     try:
         return args.func(args)
     except Exception as exc:  # runtime failure

@@ -59,9 +59,6 @@ class PolarVars:
     def zeros(cls, n_rows: int) -> "PolarVars":
         return cls(alpha=np.zeros(n_rows), beta=np.zeros(n_rows), d=np.zeros(n_rows))
 
-    def copy(self) -> "PolarVars":
-        return PolarVars(self.alpha.copy(), self.beta.copy(), self.d.copy())
-
 
 def omega(alpha, beta) -> np.ndarray:
     """Unit direction for azimuth ``alpha`` and polar angle ``beta``.

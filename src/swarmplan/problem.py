@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import null_space, pinv
 
 from .bernstein import BasisSet
-from .polar import EllipsoidShape, PolarVars, omega
+from .polar import EllipsoidShape, PolarVars
 
 GRAVITY = 9.81
 
@@ -141,7 +141,7 @@ def detect_conflicts(
 class PlanningProblem:
     """Assembled per-round optimization data for one agent.
 
-    Immutable after assembly apart from an internal factorization cache.
+    Immutable after assembly.
     Matrix fields follow the convention ``min 0.5 z'Qz + q'z`` subject to
     ``A z = b(polar)``, ``G z <= h``, and ``C z = e``.
 
@@ -240,7 +240,6 @@ class PlanningProblem:
         self.zeta_particular = pinv(self.C) @ self.e
         if not np.allclose(self.C @ self.zeta_particular, self.e, atol=1e-9):
             raise ValueError("initial conditions are inconsistent with the basis degree")
-        self._kkt_cache: dict[float, tuple] = {}
 
     def stack_samples(self, pos: np.ndarray, vel: np.ndarray, acc: np.ndarray) -> np.ndarray:
         """Arrange sampled kinematics into constraint-row order (n_rows x 3)."""
@@ -259,17 +258,16 @@ def assemble(
     return PlanningProblem(config, snapshot, targets, basis)
 
 
-def build_b(problem: PlanningProblem, polar: PolarVars, _omega_rows: np.ndarray | None = None) -> np.ndarray:
+def build_b(problem: PlanningProblem, polar: PolarVars, omega_rows: np.ndarray) -> np.ndarray:
     """Stacked target vector matching ``problem.A``'s row layout.
 
-    Every constraint row contributes ``center + scale * d * omega`` per axis;
+    ``omega_rows`` holds ``omega(polar.alpha, polar.beta)``, one direction per
+    row.  Every constraint row contributes ``center + scale * d * omega`` per axis;
     velocity rows are centered at zero, acceleration rows carry the gravity
     offset on z, and collision rows are centered on the target positions with
     the ellipsoid semi-axes as scales.
     """
     if polar.d.shape != (problem.n_rows,):
         raise ValueError(f"polar variables must have {problem.n_rows} rows, got {polar.d.shape}")
-    if _omega_rows is None:
-        _omega_rows = omega(polar.alpha, polar.beta)
-    rows = problem.centers + problem.scales * (polar.d[:, None] * _omega_rows)
+    rows = problem.centers + problem.scales * (polar.d[:, None] * omega_rows)
     return rows.T.ravel()

@@ -15,6 +15,7 @@ the calling thread; a scenario plus configuration determines the report
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +52,10 @@ class MissionReport:
 
     ``min_inter_agent`` / ``min_obstacle`` hold, per round, the smallest
     scaled separation (values below 1 mean a declared collision); ``None``
-    when there is no pair/obstacle to measure.  Compute timings are
-    wall-clock and therefore excluded from the canonical byte serialization
-    used for determinism checks.
+    when there is no pair/obstacle to measure.  ``per_agent_compute_us``
+    holds, per agent and round, the wall-clock time of its plan: conflict
+    selection, assembly and solve.  Timings are excluded from the canonical
+    byte serialization used for determinism checks.
     """
 
     success: bool
@@ -90,14 +92,30 @@ class MissionReport:
         return self.to_json(include_timing=False).encode("utf-8")
 
 
-def _pair_metrics(positions: np.ndarray, axes: np.ndarray) -> list[tuple[int, int, float]]:
-    out = []
-    n = positions.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            metric = float(np.linalg.norm((positions[i] - positions[j]) / axes))
-            out.append((i, j, metric))
-    return out
+def _row_norms(diff: np.ndarray) -> np.ndarray:
+    # A batched 1x3 @ 3x1 product sums like np.linalg.norm on each row alone;
+    # np.linalg.norm(diff, axis=-1) sums in another order and can differ in
+    # the last bit.
+    return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+
+
+def separations(
+    positions: np.ndarray,
+    obstacles: list[tuple[np.ndarray, np.ndarray]],
+    coll_axes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled separations of every agent pair and every agent-obstacle pair.
+
+    Returns the agent pairs ``i < j`` in row-major order (the order of
+    ``np.triu_indices``), scaled by ``coll_axes``, and an
+    ``n_obstacles x n_agents`` array for the ``(center, semi_axes)``
+    obstacles.  Each value equals ``np.linalg.norm`` of that pair's scaled
+    difference vector bit for bit.
+    """
+    i, j = np.triu_indices(positions.shape[0], 1)
+    centers = np.reshape([center for center, _ in obstacles], (-1, 1, 3))
+    axes = np.reshape([ax for _, ax in obstacles], (-1, 1, 3))
+    return _row_norms((positions[i] - positions[j]) / coll_axes), _row_norms((positions - centers) / axes)
 
 
 def check_collision(
@@ -114,15 +132,11 @@ def check_collision(
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     coll_axes = theta_coll.as_array if hasattr(theta_coll, "as_array") else np.asarray(theta_coll, dtype=float)
-    violations = []
-    for i, j, metric in _pair_metrics(positions, coll_axes):
-        if metric < 1.0:
-            violations.append((f"agent{i}", f"agent{j}", metric))
-    for k, (center, axes) in enumerate(obstacles):
-        scaled = (positions - np.asarray(center)) / np.asarray(axes)
-        metrics = np.linalg.norm(scaled, axis=1)
-        for i in np.flatnonzero(metrics < 1.0):
-            violations.append((f"agent{int(i)}", f"obstacle{k}", float(metrics[i])))
+    pair, obstacle = separations(positions, obstacles, coll_axes)
+    i, j = np.triu_indices(positions.shape[0], 1)
+    violations = [(f"agent{i[p]}", f"agent{j[p]}", float(pair[p])) for p in np.flatnonzero(pair < 1.0)]
+    for k, a in zip(*np.nonzero(obstacle < 1.0)):
+        violations.append((f"agent{a}", f"obstacle{k}", float(obstacle[k, a])))
     return violations
 
 
@@ -195,14 +209,10 @@ def run_mission(
         positions = np.array([snap.position for snap in world.snapshots])
         velocities = np.array([snap.velocity for snap in world.snapshots])
 
-        pair_metrics = _pair_metrics(positions, config.theta_coll.as_array)
-        min_inter.append(min((m for *_, m in pair_metrics), default=None))
-        obs_metrics = [
-            float(np.linalg.norm((positions[i] - obs.center) / axes))
-            for obs, axes in zip(world.obstacles, declared_axes)
-            for i in range(n_agents)
-        ]
-        min_obstacle.append(min(obs_metrics, default=None))
+        declared = [(o.center, ax) for o, ax in zip(world.obstacles, declared_axes)]
+        pair, obstacle = separations(positions, declared, config.theta_coll.as_array)
+        min_inter.append(min(pair.tolist(), default=None))
+        min_obstacle.append(min(obstacle.ravel().tolist(), default=None))
         if record_trajectory:
             trajectory_rounds.append(
                 {
@@ -212,9 +222,7 @@ def run_mission(
                 }
             )
 
-        violations = check_collision(
-            positions, [(o.center, ax) for o, ax in zip(world.obstacles, declared_axes)], config.theta_coll
-        )
+        violations = check_collision(positions, declared, config.theta_coll)
         if violations:
             collision_events.extend((world.round_index, a, b, m) for a, b, m in violations)
             break
@@ -231,11 +239,12 @@ def run_mission(
         obstacle_tracks = [(o.shape, o.predicted_centers(K, dt)) for o in world.obstacles]
         for i in range(n_agents):
             neighbor_plans = {j: shifted[j] for j in range(n_agents) if j != i}
+            t0 = time.perf_counter()
             targets = detect_conflicts(shifted[i], neighbor_plans, obstacle_tracks, config)
             problem = assemble(world.snapshots[i], targets, basis, config)
-            zeta, diag = solve(problem, None, solver_config, mode)
+            zeta, diag = solve(problem, solver_config, mode)
+            per_agent_compute[i].append((time.perf_counter() - t0) * 1e6)
             pos, vel, acc = sample_trajectory(basis, zeta)
-            per_agent_compute[i].append(diag.wall_time_us)
             nonconverged += not diag.converged
             world.snapshots[i] = AgentSnapshot(
                 position=pos[1], goal=world.snapshots[i].goal, velocity=vel[1], acceleration=acc[1]
@@ -292,14 +301,11 @@ def replay_outcome(trajectory: dict) -> dict:
     for r, row in enumerate(trajectory["rounds"]):
         positions = np.asarray(row["positions"])
         velocities = np.asarray(row["velocities"])
-        centers = [np.asarray(c) for c in row["obstacle_centers"]]
-        pair = _pair_metrics(positions, coll_axes)
-        min_inter.append(min((m for *_, m in pair), default=None))
-        obs_metrics = [
-            float(np.linalg.norm((p - c) / ax)) for c, ax in zip(centers, obstacle_axes) for p in positions
-        ]
-        min_obstacle.append(min(obs_metrics, default=None))
-        if check_collision(positions, list(zip(centers, obstacle_axes)), coll_axes):
+        obstacles = list(zip(row["obstacle_centers"], obstacle_axes))
+        pair, obstacle = separations(positions, obstacles, coll_axes)
+        min_inter.append(min(pair.tolist(), default=None))
+        min_obstacle.append(min(obstacle.ravel().tolist(), default=None))
+        if check_collision(positions, obstacles, coll_axes):
             collision_rounds.append(r)
         at_goal = all(
             np.linalg.norm(positions[i] - goals[i]) <= tol_pos and np.linalg.norm(velocities[i]) <= tol_vel

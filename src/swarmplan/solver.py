@@ -11,13 +11,15 @@ S3  closed-form clipped magnitude updates (standard or barrier bounds),
 S4  nonnegative slack update for the bound rows,
 S5  multiplier update.
 
-The penalty grows geometrically per iteration up to a cap, and the loop exits
-once the combined constraint residual drops below the threshold.
+:func:`advance` runs one iteration; ``A z`` and ``G z`` are read off one
+sampling of the new trajectory (:func:`sample_rows`).  The penalty grows
+geometrically per iteration up to a cap, and :func:`solve` exits once the
+combined constraint residual has dropped below the threshold and settled.
+Every solve starts cold.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,86 +31,86 @@ from .problem import PlanningProblem, build_b
 
 MODES = ("standard", "bf")
 
+# Penalty schedule rho_k = min(RHO_BASE**k, RHO_CAP).  rho >= 1 at every
+# iteration keeps the reduced S1 Hessian positive definite (see step_s1).
+RHO_BASE = 1.3
+RHO_CAP = 5e5
+
+# Once the combined residual drops below the threshold the iterate counts as
+# converged, but the loop keeps polishing until the residual has sat below
+# RESIDUAL_FLOOR for SETTLE_PASSES iterations (or POLISH_BUDGET extra
+# iterations as a backstop).  The residual measures exactly how far the
+# sampled trajectory is from its clipped polar projection, so stopping hard at
+# the threshold would leave residual-sized constraint slop in the returned
+# trajectory; a few floor iterations also wash out the artifacts of the
+# zero-initialized magnitudes in otherwise unconstrained solves.  Polishing is
+# deliberately short: once the residual is at the floor, further iterations
+# slowly trade optimality for standoff margin.
+POLISH_BUDGET = 64
+SETTLE_PASSES = 5
+RESIDUAL_FLOOR = 1e-8
+
+
+def rho_at(iteration: int) -> float:
+    """Penalty weight of the given iteration."""
+    return min(RHO_BASE**iteration, RHO_CAP)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration limits and penalty schedule.
-
-    Once the combined residual drops below ``threshold`` the iterate counts
-    as converged, but the loop keeps polishing until the residual has sat at
-    ``residual_floor`` for ``settle_passes`` iterations (or ``polish_budget``
-    extra iterations as a backstop).  The residual measures exactly how far
-    the sampled trajectory is from its clipped polar projection, so stopping
-    hard at the threshold would leave residual-sized constraint slop in the
-    returned trajectory; a few floor iterations also wash out the artifacts
-    of the zero-initialized magnitudes in otherwise unconstrained solves.
-    Polishing is deliberately short: once the residual is at the floor,
-    further iterations slowly trade optimality for standoff margin.
-    """
+    """Iteration cap and convergence threshold on the combined residual."""
 
     maxiter: int = 2000
     threshold: float = 0.01
-    rho_base: float = 1.3
-    rho_cap: float = 5e5
-    polish_budget: int = 64
-    settle_passes: int = 5
-    residual_floor: float = 1e-8
 
     def __post_init__(self):
         if self.maxiter < 1:
             raise ValueError(f"maxiter must be >= 1, got {self.maxiter}")
         if self.threshold <= 0:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
-        # rho >= 1 keeps the reduced S1 Hessian positive definite (see step_s1).
-        if self.rho_base < 1:
-            raise ValueError(f"rho_base must be >= 1, got {self.rho_base}")
-        if self.rho_cap < 1:
-            raise ValueError(f"rho_cap must be >= 1, got {self.rho_cap}")
-        if self.polish_budget < 0:
-            raise ValueError(f"polish_budget must be >= 0, got {self.polish_budget}")
-        if self.settle_passes < 1:
-            raise ValueError(f"settle_passes must be >= 1, got {self.settle_passes}")
-
-    def rho_at(self, iteration: int) -> float:
-        return min(self.rho_base**iteration, self.rho_cap)
 
 
 @dataclass
 class SolverState:
-    """Mutable iterate carried across the S1..S5 updates."""
+    """Iterate carried across the S1..S5 updates.
+
+    ``b`` is the target vector the next S1 reads.  ``factor`` holds
+    ``(rho, cho, v)``, the reduced S1 system factored at penalty ``rho``;
+    the penalty never decreases within a solve, so S1 refactors exactly
+    when it changes.
+    """
 
     zeta1: np.ndarray
     polar: PolarVars
     lam: np.ndarray
     slack: np.ndarray
-    rho: float = 1.0
+    b: np.ndarray
+    rho: float
     iter: int = 0
     eq_residual: float = np.inf
     ineq_residual: float = np.inf
+    factor: tuple | None = field(default=None, repr=False)
 
     @classmethod
-    def cold(cls, problem: PlanningProblem, config: SolverConfig | None = None) -> "SolverState":
-        config = config or SolverConfig()
-        return cls(
+    def cold(cls, problem: PlanningProblem) -> "SolverState":
+        """Zero coefficients, polar variables, multipliers and slacks.
+
+        The first target vector is built from the zero polar variables; then
+        the collision magnitudes are set to the measured anchors, so the
+        ``bf`` barrier's first bound reads the measured state rather than the
+        zero placeholder, which would make it looser than the plain bound 1.
+        """
+        polar = PolarVars.zeros(problem.n_rows)
+        state = cls(
             zeta1=np.zeros(problem.n_coeffs),
-            polar=PolarVars.zeros(problem.n_rows),
+            polar=polar,
             lam=np.zeros(problem.n_coeffs),
             slack=np.zeros(problem.h.size),
-            rho=config.rho_at(0),
-            iter=0,
+            b=build_b(problem, polar, omega(polar.alpha, polar.beta)),
+            rho=rho_at(0),
         )
-
-    def copy(self) -> "SolverState":
-        return SolverState(
-            zeta1=self.zeta1.copy(),
-            polar=self.polar.copy(),
-            lam=self.lam.copy(),
-            slack=self.slack.copy(),
-            rho=self.rho,
-            iter=self.iter,
-            eq_residual=self.eq_residual,
-            ineq_residual=self.ineq_residual,
-        )
+        polar.d[problem.col_rows] = np.repeat(problem.anchors, problem.K)
+        return state
 
 
 @dataclass
@@ -117,44 +119,9 @@ class SolveDiagnostics:
     eq_residual: float
     ineq_residual: float
     converged: bool
-    wall_time_us: float
-    state: SolverState | None = field(default=None, repr=False)
-
-    @property
-    def residual(self) -> float:
-        return self.eq_residual + self.ineq_residual
-
-    def record(self) -> dict:
-        """Flat export record for benchmark logs."""
-        return {
-            "iterations": self.iterations,
-            "eq_residual": self.eq_residual,
-            "ineq_residual": self.ineq_residual,
-            "residual": self.residual,
-            "converged": self.converged,
-            "wall_time_us": self.wall_time_us,
-        }
 
 
-def _kkt_factors(problem: PlanningProblem, rho: float) -> tuple:
-    """Cached factorization pieces of the reduced S1 system for one ``rho``.
-
-    Returns ``(cho, v)`` where ``cho`` factors the reduced Hessian
-    ``Z' A_hat Z`` and ``v = Z' A_hat z_particular``.
-    """
-    cached = problem._kkt_cache.get(rho)
-    if cached is not None:
-        return cached
-    Z, ZT = problem.null_basis, problem.null_basis_T
-    A_hat = problem.Q + rho * problem.gram
-    cho = cho_factor(ZT @ A_hat @ Z, lower=True, check_finite=False)
-    v = ZT @ (A_hat @ problem.zeta_particular)
-    entry = (cho, v)
-    problem._kkt_cache[rho] = entry
-    return entry
-
-
-def step_s1(problem: PlanningProblem, state: SolverState, b: np.ndarray | None = None) -> np.ndarray:
+def step_s1(problem: PlanningProblem, state: SolverState) -> np.ndarray:
     """Coefficient update: minimize the penalized objective subject to ``C z = e``.
 
     The equality block is eliminated exactly through the precomputed
@@ -163,58 +130,59 @@ def step_s1(problem: PlanningProblem, state: SolverState, b: np.ndarray | None =
     Hessian is congruent to the free block of ``Q + rho * gram``.  ``Q`` is
     positive semidefinite for nonnegative cost weights and ``gram`` holds
     the workspace rows' ``W'W``, positive definite once ``K >= n + 1``; the
-    configurations enforce the weights and ``rho >= 1``.  A singular reduced
-    system raises :class:`numpy.linalg.LinAlgError`.
+    configurations enforce the weights and the schedule keeps ``rho >= 1``.
+    A singular reduced system raises :class:`numpy.linalg.LinAlgError`.
+    Refreshes ``state.factor`` when ``state.rho`` differs from its penalty.
     """
-    if b is None:
-        b = build_b(problem, state.polar)
     rho = state.rho
-    rhs = -problem.q + state.lam + rho * (problem.AT @ b) + rho * (problem.GT @ (problem.h - state.slack))
-    cho, v = _kkt_factors(problem, rho)
+    if state.factor is None or state.factor[0] != rho:
+        Z, ZT = problem.null_basis, problem.null_basis_T
+        A_hat = problem.Q + rho * problem.gram
+        cho = cho_factor(ZT @ A_hat @ Z, lower=True, check_finite=False)
+        state.factor = (rho, cho, ZT @ (A_hat @ problem.zeta_particular))
+    _, cho, v = state.factor
+    rhs = -problem.q + state.lam + rho * (problem.AT @ state.b) + rho * (problem.GT @ (problem.h - state.slack))
     y = cho_solve(cho, problem.null_basis_T @ rhs - v, check_finite=False)
     return problem.zeta_particular + problem.null_basis @ y
 
 
-def _sampled(problem: PlanningProblem, zeta1: np.ndarray):
+def sample_rows(problem: PlanningProblem, zeta1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``A z`` and ``G z`` of the coefficients, read off one sampling of the trajectory.
+
+    Returns the constraint-row samples (``n_rows x 3``; column ``i`` holds
+    axis ``i``'s block of ``A z``) and the workspace rows ``G z``.
+    """
     pos, vel, acc = sample_trajectory(problem.basis, zeta1)
-    return pos, vel, acc, problem.stack_samples(pos, vel, acc)
+    pos_axis = pos.T.ravel()
+    return problem.stack_samples(pos, vel, acc), np.concatenate([pos_axis, -pos_axis])
 
 
-def step_s2(
-    problem: PlanningProblem,
-    state: SolverState,
-    samples: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def step_s2(problem: PlanningProblem, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Angle update: independently project every constraint row's difference."""
-    if samples is None:
-        *_, samples = _sampled(problem, state.zeta1)
-    u = (samples - problem.centers) / problem.scales
-    return _project_scaled(u)
+    return _project_scaled((samples - problem.centers) / problem.scales)
 
 
 def step_s3(
     problem: PlanningProblem,
     state: SolverState,
-    mode: str = "standard",
-    samples: np.ndarray | None = None,
-    omega_rows: np.ndarray | None = None,
+    samples: np.ndarray,
+    omega_rows: np.ndarray,
+    mode: str,
 ) -> np.ndarray:
     """Magnitude update: per-row quadratic vertex clipped into the feasible interval.
 
-    In ``bf`` mode the collision lower bounds follow the barrier rule
+    ``omega_rows`` holds the directions of the angles just updated.  In
+    ``bf`` mode the collision lower bounds follow the barrier rule
     ``1 + (1 - gamma) * (d_prev - 1)`` instead of the constant boundary value
     1, where ``d_prev`` is the previous iterate's magnitude one step earlier
     and, for step 0, the measured anchor.  Step 0 is pinned to the measured
     state, so its bound is also capped at the assembled step-0 bound
-    ``min(1, anchor)``.  On a cold start :func:`solve` seeds the previous
-    magnitudes with the anchors, so the first bound reads the measured state.
+    ``min(1, anchor)``.  A cold start seeds the previous magnitudes with the
+    anchors (see :meth:`SolverState.cold`), so the first bound reads the
+    measured state.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if samples is None:
-        *_, samples = _sampled(problem, state.zeta1)
-    if omega_rows is None:
-        omega_rows = omega(state.polar.alpha, state.polar.beta)
     lo = problem.lo_base
     if mode == "bf" and problem.M:
         d_prev = state.polar.d[problem.col_rows].reshape(problem.M, problem.K)
@@ -229,110 +197,79 @@ def step_s3(
     return clipped_magnitude(samples - problem.centers, omega_rows, problem.scales, lo, problem.hi_bounds)
 
 
-def step_s4(problem: PlanningProblem, state: SolverState, gz: np.ndarray | None = None) -> np.ndarray:
+def step_s4(problem: PlanningProblem, gz: np.ndarray) -> np.ndarray:
     """Slack update: the nonnegative minimizer of the bound-violation penalty."""
-    if gz is None:
-        gz = problem.G @ state.zeta1
     return np.maximum(0.0, problem.h - gz)
 
 
-def step_s5(
-    problem: PlanningProblem,
-    state: SolverState,
-    r_eq: np.ndarray | None = None,
-    viol: np.ndarray | None = None,
-) -> np.ndarray:
-    """Multiplier update from the current equality and bound residuals."""
-    if r_eq is None:
-        r_eq = problem.A @ state.zeta1 - build_b(problem, state.polar)
-    if viol is None:
-        viol = problem.G @ state.zeta1 - problem.h + state.slack
+def step_s5(problem: PlanningProblem, state: SolverState, r_eq: np.ndarray, viol: np.ndarray) -> np.ndarray:
+    """Multiplier update from the equality residual ``A z - b`` and the bound residual ``G z - h + s``."""
     half_rho = 0.5 * state.rho
     return state.lam - half_rho * (problem.AT @ r_eq) - half_rho * (problem.GT @ viol)
 
 
+def advance(problem: PlanningProblem, state: SolverState, mode: str) -> None:
+    """One iteration in place: S1..S5, the residuals, and the next penalty.
+
+    After S4 the bound residual ``G z - h + s`` equals ``max(G z - h, 0)``.
+    """
+    state.zeta1 = step_s1(problem, state)
+    samples, gz = sample_rows(problem, state.zeta1)
+    state.polar.alpha, state.polar.beta = step_s2(problem, samples)
+    omega_rows = omega(state.polar.alpha, state.polar.beta)
+    state.polar.d = step_s3(problem, state, samples, omega_rows, mode)
+    state.slack = step_s4(problem, gz)
+    state.b = build_b(problem, state.polar, omega_rows)
+    r_eq = samples.T.ravel() - state.b
+    viol = np.maximum(gz - problem.h, 0.0)
+    state.lam = step_s5(problem, state, r_eq, viol)
+    state.eq_residual = float(np.linalg.norm(r_eq))
+    state.ineq_residual = float(np.linalg.norm(viol))
+    state.iter += 1
+    state.rho = rho_at(state.iter)
+
+
 def solve(
     problem: PlanningProblem,
-    warm_start: SolverState | None = None,
     config: SolverConfig | None = None,
     mode: str = "standard",
 ) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Run the alternating updates until the residual threshold or iteration cap.
+    """Run the alternating updates from a cold start until the residual settles or the iteration cap.
 
-    Cold starts zero the polar variables, multipliers, and slacks, except
-    that after the first target vector is built the collision magnitudes are
-    set to the measured anchors: the ``bf`` barrier's first bound then reads
-    the measured state rather than the zero placeholder, which would make it
-    looser than the plain bound 1.  A warm start copies the supplied state,
-    including its penalty schedule position.  Step-0 rows admit the measured
-    state (see :class:`~swarmplan.problem.PlanningProblem`), so a start that
-    violates an ordinary bound does not floor the residual.
-    Returns the lowest-residual iterate and diagnostics carrying the final
-    state for warm-start reuse.
+    Step-0 rows admit the measured state (see
+    :class:`~swarmplan.problem.PlanningProblem`), so a start that violates an
+    ordinary bound does not floor the residual.  Returns the lowest-residual
+    iterate and the diagnostics of the last one.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     config = config or SolverConfig()
-    state = warm_start.copy() if warm_start is not None else SolverState.cold(problem, config)
-    state.rho = config.rho_at(state.iter)
-
-    t0 = time.perf_counter()
-    b = build_b(problem, state.polar)
-    if warm_start is None:
-        state.polar.d[problem.col_rows] = np.repeat(problem.anchors, problem.K)
+    state = SolverState.cold(problem)
     best_zeta = state.zeta1
     best_residual = np.inf
     converged = False
-    local_iter = 0
     polish_iters = 0
     floor_hits = 0
 
-    while local_iter < config.maxiter:
-        zeta = step_s1(problem, state, b=b)
-        state.zeta1 = zeta
-        pos, vel, acc, samples = _sampled(problem, zeta)
-
-        alpha, beta = step_s2(problem, state, samples=samples)
-        state.polar.alpha = alpha
-        state.polar.beta = beta
-        omega_rows = omega(alpha, beta)
-        state.polar.d = step_s3(problem, state, mode, samples=samples, omega_rows=omega_rows)
-
-        pos_axis = pos.T.ravel()
-        gz = np.concatenate([pos_axis, -pos_axis])
-        state.slack = step_s4(problem, state, gz=gz)
-
-        b = build_b(problem, state.polar, _omega_rows=omega_rows)
-        r_eq = samples.T.ravel() - b
-        viol = np.maximum(gz - problem.h, 0.0)
-        state.lam = step_s5(problem, state, r_eq=r_eq, viol=viol)
-
-        state.eq_residual = float(np.linalg.norm(r_eq))
-        state.ineq_residual = float(np.linalg.norm(viol))
-        state.iter += 1
-        state.rho = config.rho_at(state.iter)
-        local_iter += 1
-
+    while state.iter < config.maxiter:
+        advance(problem, state, mode)
         residual = state.eq_residual + state.ineq_residual
         if residual < best_residual:
             best_residual = residual
-            best_zeta = zeta
+            best_zeta = state.zeta1
         if converged:
             polish_iters += 1
         if residual < config.threshold:
             converged = True
-        if residual < config.residual_floor:
+        if residual < RESIDUAL_FLOOR:
             floor_hits += 1
-        if converged and (floor_hits >= config.settle_passes or polish_iters >= config.polish_budget):
+        if converged and (floor_hits >= SETTLE_PASSES or polish_iters >= POLISH_BUDGET):
             break
 
-    wall_us = (time.perf_counter() - t0) * 1e6
     diagnostics = SolveDiagnostics(
-        iterations=local_iter,
+        iterations=state.iter,
         eq_residual=state.eq_residual,
         ineq_residual=state.ineq_residual,
         converged=converged,
-        wall_time_us=wall_us,
-        state=state,
     )
     return best_zeta, diagnostics

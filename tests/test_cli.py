@@ -49,6 +49,20 @@ def test_run_rejects_bad_gamma(scenario_file, capsys):
     assert main(["run", str(scenario_file), "--gamma", "1.4"]) == 1
 
 
+def test_standard_mode_rejects_gamma_below_one(scenario_file, tmp_path, capsys):
+    """Standard mode ignores gamma, so gamma != 1 without --mode bf is a usage error."""
+    out = tmp_path / "sweep"
+    for argv in (
+        ["run", str(scenario_file), "--gamma", "0.9"],
+        ["antipodal", "--agents", "2", "--gamma", "0.9", "--mode", "standard"],
+        ["sweep", "--sizes", "2", "--seeds", "0:1", "--gamma", "1.0,0.9", "--out", str(out)],
+    ):
+        assert main(argv) == 1, argv
+        assert "--mode bf" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["antipodal", "--agents", "2", "--gamma", "0.9", "--mode", "bf", "--out", str(tmp_path / "bf.json")]) == 0
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["run"])  # missing positional argument

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from swarmplan.bernstein import build_basis, sample_trajectory
-from swarmplan.polar import EllipsoidShape, PolarVars
+from swarmplan.polar import EllipsoidShape, PolarVars, omega
 from swarmplan.problem import (
     GRAVITY,
     AgentSnapshot,
@@ -15,6 +15,10 @@ from swarmplan.problem import (
 
 from conftest import cylinder_target, make_problem
 from oracles import dense_kkt_qp
+
+
+def target_vector(problem, polar):
+    return build_b(problem, polar, omega(polar.alpha, polar.beta))
 
 
 def hover_plan(x, y, z, K=30):
@@ -95,7 +99,7 @@ def test_build_b_zero_magnitudes(basis30, default_config):
     target = cylinder_target(0.4, 0.1, 0.3)
     problem = make_problem(basis30, default_config, [-1, 0, 1], [1, 0, 1], [target])
     K, R = basis30.K, problem.n_rows
-    b = build_b(problem, PolarVars.zeros(R))
+    b = target_vector(problem, PolarVars.zeros(R))
     for axis in range(3):
         block = b[axis * R : (axis + 1) * R]
         assert not block[:K].any()  # velocity rows
@@ -113,7 +117,7 @@ def test_build_b_collision_rows_on_x_semi_axis(basis30, default_config):
     polar.d[2 * K :] = 1.0
     polar.alpha[2 * K :] = 0.0
     polar.beta[2 * K :] = np.pi / 2
-    b = build_b(problem, polar)
+    b = target_vector(problem, polar)
     a = target.shape.a
     centers = target.predicted_centers
     np.testing.assert_allclose(b[2 * K : 3 * K], centers[:, 0] + a, atol=1e-12)
@@ -135,7 +139,7 @@ def test_stacked_residual_matches_per_constraint_loop(basis30, default_config):
         beta=rng.uniform(0, np.pi, R),
         d=rng.uniform(0, 3, R),
     )
-    stacked = np.linalg.norm(problem.A @ zeta - build_b(problem, polar))
+    stacked = np.linalg.norm(problem.A @ zeta - target_vector(problem, polar))
 
     pos, vel, acc = sample_trajectory(basis30, zeta)
     total = 0.0
@@ -222,7 +226,7 @@ def test_constraint_target_validation():
 def test_build_b_rejects_mismatched_polar(basis30, default_config):
     problem = make_problem(basis30, default_config, [-1, 0, 1], [1, 0, 1])
     with pytest.raises(ValueError):
-        build_b(problem, PolarVars.zeros(problem.n_rows + 3))
+        target_vector(problem, PolarVars.zeros(problem.n_rows + 3))
 
 
 def test_step0_bounds_admit_measured_state(basis30, default_config):

@@ -135,14 +135,8 @@ def test_replay_outcome_matches_report():
         replay = replay_outcome(report.trajectory)
         assert replay["success"] == report.success
         assert (len(replay["collision_rounds"]) > 0) == (len(report.collision_events) > 0)
-        np.testing.assert_allclose(
-            [m for m in replay["min_inter_agent"] if m is not None],
-            [m for m in report.min_inter_agent if m is not None],
-        )
-        np.testing.assert_allclose(
-            [m for m in replay["min_obstacle"] if m is not None],
-            [m for m in report.min_obstacle if m is not None],
-        )
+        assert replay["min_inter_agent"] == report.min_inter_agent
+        assert replay["min_obstacle"] == report.min_obstacle
 
 
 def test_report_serialization_excludes_timing_in_canonical_bytes():

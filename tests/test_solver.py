@@ -5,9 +5,21 @@ import pytest
 from scipy.linalg import LinAlgError
 
 from swarmplan.bernstein import build_basis, refit_coefficients, sample_trajectory
-from swarmplan.polar import EllipsoidShape, PolarVars
+from swarmplan.polar import EllipsoidShape, PolarVars, omega
 from swarmplan.problem import AgentSnapshot, ConstraintTarget, PlanningConfig, assemble, build_b
-from swarmplan.solver import SolverConfig, SolverState, solve, step_s1, step_s2, step_s3, step_s4, step_s5
+from swarmplan.solver import (
+    SolverConfig,
+    SolverState,
+    advance,
+    rho_at,
+    sample_rows,
+    solve,
+    step_s1,
+    step_s2,
+    step_s3,
+    step_s4,
+    step_s5,
+)
 
 from conftest import cylinder_target, make_problem, random_full_instance
 from oracles import dense_kkt_qp, ternary_search_magnitude
@@ -29,6 +41,7 @@ def small_problem(seed=0, with_target=True):
 
 
 def random_state(problem, rng, rho=None):
+    """A random iterate whose target vector is built from its polar variables, as :func:`advance` builds it."""
     state = SolverState.cold(problem)
     state.zeta1 = rng.normal(size=problem.n_coeffs)
     state.polar = PolarVars(
@@ -36,24 +49,23 @@ def random_state(problem, rng, rho=None):
         beta=rng.uniform(0, np.pi, problem.n_rows),
         d=rng.uniform(0, 2.5, problem.n_rows),
     )
+    state.b = build_b(problem, state.polar, omega(state.polar.alpha, state.polar.beta))
     state.lam = rng.normal(size=problem.n_coeffs)
     state.slack = rng.uniform(0, 1, problem.h.size)
     state.rho = rho if rho is not None else float(rng.uniform(1, 1e4))
     return state
 
 
-def advance_one_iteration(problem, state, mode="standard"):
-    """One full pass over the public step functions, updating the state."""
-    state.zeta1 = step_s1(problem, state)
-    state.polar.alpha, state.polar.beta = step_s2(problem, state)
-    state.polar.d = step_s3(problem, state, mode)
-    state.slack = step_s4(problem, state)
-    state.lam = step_s5(problem, state)
-    return state
+def s1_rhs(problem, state):
+    """Right-hand side of the S1 normal equations for the state's target vector."""
+    return -problem.q + state.lam + state.rho * (problem.AT @ state.b) + state.rho * (problem.GT @ (problem.h - state.slack))
 
 
-def penalty(problem, state):
-    return float(np.sum((problem.A @ state.zeta1 - build_b(problem, state.polar)) ** 2))
+def updated_angles(problem, state):
+    """S2 on the state's trajectory: the angles and their directions, as :func:`advance` feeds S3."""
+    samples, _ = sample_rows(problem, state.zeta1)
+    alpha, beta = step_s2(problem, samples)
+    return samples, alpha, beta, omega(alpha, beta)
 
 
 # ---------------------------------------------------------------- S1
@@ -77,9 +89,8 @@ def test_s1_equality_feasibility_and_stationarity():
         state = random_state(problem, rng)
         zeta = step_s1(problem, state)
         np.testing.assert_allclose(problem.C @ zeta, problem.e, atol=1e-8)
-        b = build_b(problem, state.polar)
         A_hat = problem.Q + state.rho * problem.gram
-        rhs = -problem.q + state.lam + state.rho * (problem.AT @ b) + state.rho * (problem.GT @ (problem.h - state.slack))
+        rhs = s1_rhs(problem, state)
         # Stationary along every direction that keeps C z = e.
         stat = problem.null_basis.T @ (A_hat @ zeta - rhs)
         assert np.linalg.norm(stat) <= 1e-8 * (1.0 + np.linalg.norm(rhs))
@@ -90,17 +101,30 @@ def test_s1_matches_dense_kkt_oracle():
         problem, rng = small_problem(seed)
         state = random_state(problem, rng)
         zeta = step_s1(problem, state)
-        b = build_b(problem, state.polar)
         A_hat = problem.Q + state.rho * problem.gram
-        rhs = -problem.q + state.lam + state.rho * (problem.AT @ b) + state.rho * (problem.GT @ (problem.h - state.slack))
-        zeta_oracle = dense_kkt_qp(A_hat, -rhs, problem.C, problem.e)
+        zeta_oracle = dense_kkt_qp(A_hat, -s1_rhs(problem, state), problem.C, problem.e)
         assert np.linalg.norm(zeta - zeta_oracle) <= 1e-6 * (1.0 + np.linalg.norm(zeta_oracle))
+
+
+def test_s1_refactors_only_when_rho_changes():
+    problem, rng = small_problem(0)
+    state = random_state(problem, rng, rho=2.0)
+    step_s1(problem, state)
+    factor = state.factor
+    step_s1(problem, state)
+    assert state.factor is factor
+    state.rho = 3.0
+    step_s1(problem, state)
+    assert state.factor is not factor and state.factor[0] == 3.0
+    A_hat = problem.Q + state.rho * problem.gram
+    zeta_oracle = dense_kkt_qp(A_hat, -s1_rhs(problem, state), problem.C, problem.e)
+    assert np.linalg.norm(step_s1(problem, state) - zeta_oracle) <= 1e-6 * (1.0 + np.linalg.norm(zeta_oracle))
 
 
 def test_s1_is_constrained_minimum_of_augmented_objective():
     problem, rng = small_problem(3)
     state = random_state(problem, rng)
-    b = build_b(problem, state.polar)
+    b = state.b
 
     def objective(z):
         return (
@@ -133,7 +157,7 @@ def linear_motion_problem(basis30, config, velocity):
 
 def test_s2_velocity_family_aligns_with_motion(basis30, default_config):
     problem, state = linear_motion_problem(basis30, default_config, [0.8, 0.0, 0.0])
-    alpha, beta = step_s2(problem, state)
+    _, alpha, beta, _ = updated_angles(problem, state)
     K = basis30.K
     np.testing.assert_allclose(alpha[:K], 0.0, atol=1e-7)
     np.testing.assert_allclose(beta[:K], np.pi / 2, atol=1e-7)
@@ -141,7 +165,7 @@ def test_s2_velocity_family_aligns_with_motion(basis30, default_config):
 
 def test_s2_acceleration_family_at_rest_points_up(basis30, default_config):
     problem, state = linear_motion_problem(basis30, default_config, [0.0, 0.0, 0.0])
-    _, beta = step_s2(problem, state)
+    _, _, beta, _ = updated_angles(problem, state)
     K = basis30.K
     np.testing.assert_allclose(beta[K : 2 * K], 0.0, atol=1e-6)
 
@@ -161,7 +185,7 @@ def test_s2_never_increases_scaled_projection_objective():
             return float(np.sum((u - state.polar.d[:, None] * w) ** 2))
 
         before = scaled_objective(state.polar.alpha, state.polar.beta)
-        alpha_new, beta_new = step_s2(problem, state)
+        _, alpha_new, beta_new, _ = updated_angles(problem, state)
         after = scaled_objective(alpha_new, beta_new)
         assert after <= before + 1e-10 * (1 + before)
 
@@ -174,8 +198,8 @@ def test_s3_far_obstacle_leaves_clip_inactive(basis30, default_config):
     problem = make_problem(basis30, default_config, [-1, 0, 1], [1, 0, 1], [target])
     state = SolverState.cold(problem)
     state.zeta1 = refit_coefficients(basis30, np.tile([0.0, 0.0, 1.0], (30, 1)))
-    state.polar.alpha, state.polar.beta = step_s2(problem, state)
-    d = step_s3(problem, state, "standard")
+    samples, *_, omega_rows = updated_angles(problem, state)
+    d = step_s3(problem, state, samples, omega_rows, "standard")
     assert np.all(d[problem.col_rows] > 1.0)
 
 
@@ -184,9 +208,9 @@ def test_s3_bf_gamma_one_is_bitwise_standard():
     for seed in range(10):
         problem, _ = small_problem(seed)  # default config has gamma = 1.0
         state = random_state(problem, rng)
-        state.polar.alpha, state.polar.beta = step_s2(problem, state)
+        samples, *_, omega_rows = updated_angles(problem, state)
         np.testing.assert_array_equal(
-            step_s3(problem, state, "bf"), step_s3(problem, state, "standard")
+            step_s3(problem, state, samples, omega_rows, "bf"), step_s3(problem, state, samples, omega_rows, "standard")
         )
 
 
@@ -194,16 +218,14 @@ def test_s3_rows_minimize_clipped_quadratic():
     rng = np.random.default_rng(10)
     problem, _ = small_problem(1)
     state = random_state(problem, rng)
-    state.polar.alpha, state.polar.beta = step_s2(problem, state)
-    d = step_s3(problem, state, "standard")
-    pos, vel, acc = sample_trajectory(problem.basis, state.zeta1)
-    samples = problem.stack_samples(pos, vel, acc)
+    samples, alpha, beta, omega_rows = updated_angles(problem, state)
+    d = step_s3(problem, state, samples, omega_rows, "standard")
     for row in range(problem.n_rows):
         shape = EllipsoidShape(*problem.scales[row])
         d_ref = ternary_search_magnitude(
             samples[row] - problem.centers[row],
-            state.polar.alpha[row],
-            state.polar.beta[row],
+            alpha[row],
+            beta[row],
             shape,
             problem.lo_base[row],
             problem.hi_bounds[row],
@@ -220,9 +242,9 @@ def test_s3_bf_uses_anchor_and_previous_iterate():
         dataclasses.replace(problem.config, gamma=0.9),
     )
     state = random_state(problem, rng)
-    state.polar.alpha, state.polar.beta = step_s2(problem, state)
+    samples, *_, omega_rows = updated_angles(problem, state)
     d_prev = state.polar.d[problem.col_rows].copy()
-    d = step_s3(problem, state, "bf")
+    d = step_s3(problem, state, samples, omega_rows, "bf")
     K = problem.K
     gamma = 0.9
     lo0 = 1 + (1 - gamma) * (problem.anchors[0] - 1)
@@ -234,8 +256,9 @@ def test_s3_bf_uses_anchor_and_previous_iterate():
 def test_s3_mode_validation():
     problem, rng = small_problem(0)
     state = random_state(problem, rng)
+    samples, *_, omega_rows = updated_angles(problem, state)
     with pytest.raises(ValueError):
-        step_s3(problem, state, "bff")
+        step_s3(problem, state, samples, omega_rows, "bff")
 
 
 # ---------------------------------------------------------------- S4 / S5
@@ -243,19 +266,19 @@ def test_s3_mode_validation():
 
 def test_s4_inside_bounds_gives_positive_slack(basis30, default_config):
     problem = make_problem(basis30, default_config, [0, 0, 1], [0.5, 0, 1])
-    state = SolverState.cold(problem)
-    state.zeta1 = refit_coefficients(basis30, np.tile([0.0, 0.0, 1.0], (30, 1)))
-    slack = step_s4(problem, state)
+    zeta = refit_coefficients(basis30, np.tile([0.0, 0.0, 1.0], (30, 1)))
+    _, gz = sample_rows(problem, zeta)
+    slack = step_s4(problem, gz)
     assert np.all(slack > 0)
-    np.testing.assert_allclose(slack, problem.h - problem.G @ state.zeta1)
+    np.testing.assert_allclose(slack, problem.h - problem.G @ zeta)
 
 
 def test_s4_zeroes_slack_on_violated_rows(basis30, default_config):
     problem = make_problem(basis30, default_config, [0, 0, 1], [0.5, 0, 1])
-    state = SolverState.cold(problem)
     # constant trajectory outside the upper x bound
-    state.zeta1 = refit_coefficients(basis30, np.tile([default_config.p_max[0] + 0.5, 0.0, 1.0], (30, 1)))
-    slack = step_s4(problem, state)
+    zeta = refit_coefficients(basis30, np.tile([default_config.p_max[0] + 0.5, 0.0, 1.0], (30, 1)))
+    _, gz = sample_rows(problem, zeta)
+    slack = step_s4(problem, gz)
     assert np.all(slack[: basis30.K] == 0.0)
     assert np.all(slack >= 0.0)
 
@@ -263,8 +286,8 @@ def test_s4_zeroes_slack_on_violated_rows(basis30, default_config):
 def test_s4_minimizes_penalty_among_random_nonnegative_slacks():
     problem, rng = small_problem(4)
     state = random_state(problem, rng)
-    slack = step_s4(problem, state)
-    gz = problem.G @ state.zeta1
+    _, gz = sample_rows(problem, state.zeta1)
+    slack = step_s4(problem, gz)
     base = np.sum((gz - problem.h + slack) ** 2)
     for _ in range(10_000):
         candidate = np.maximum(slack + rng.uniform(-0.05, 0.05, slack.size), 0.0)
@@ -274,26 +297,28 @@ def test_s4_minimizes_penalty_among_random_nonnegative_slacks():
 def test_s5_no_update_without_residual_or_rho():
     problem, rng = small_problem(5)
     state = random_state(problem, rng)
-    state.zeta1 = step_s1(problem, state)
-    state.polar.alpha, state.polar.beta = step_s2(problem, state)
-    state.polar.d = step_s3(problem, state, "standard")
-    state.slack = step_s4(problem, state)
-    # zero residuals: force b and slack consistent with the trajectory
     r_eq = np.zeros(3 * problem.n_rows)
     viol = np.zeros(problem.h.size)
-    np.testing.assert_array_equal(step_s5(problem, state, r_eq=r_eq, viol=viol), state.lam)
+    np.testing.assert_array_equal(step_s5(problem, state, r_eq, viol), state.lam)
+    lam = state.lam.copy()
     state.rho = 0.0
-    np.testing.assert_array_equal(step_s5(problem, state), state.lam)
+    advance(problem, state, "standard")
+    assert state.eq_residual > 0
+    np.testing.assert_array_equal(state.lam, lam)
 
 
 def test_s5_matches_direct_expression():
+    """The multiplier update of one iteration against the dense residuals ``A z - b`` and ``G z - h + s``."""
     problem, rng = small_problem(6)
     state = random_state(problem, rng)
-    lam_new = step_s5(problem, state)
-    r_eq = problem.A @ state.zeta1 - build_b(problem, state.polar)
+    lam, rho = state.lam.copy(), state.rho
+    advance(problem, state, "standard")
+    r_eq = problem.A @ state.zeta1 - state.b
     viol = problem.G @ state.zeta1 - problem.h + state.slack
-    expected = state.lam - 0.5 * state.rho * (problem.A.T @ r_eq) - 0.5 * state.rho * (problem.G.T @ viol)
-    np.testing.assert_allclose(lam_new, expected, rtol=1e-12, atol=1e-12)
+    expected = lam - 0.5 * rho * (problem.A.T @ r_eq) - 0.5 * rho * (problem.G.T @ viol)
+    np.testing.assert_allclose(state.lam, expected, rtol=1e-12, atol=1e-12)
+    assert state.eq_residual == pytest.approx(np.linalg.norm(r_eq), rel=1e-12)
+    assert state.ineq_residual == pytest.approx(np.linalg.norm(viol), rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------- solve
@@ -385,18 +410,6 @@ def test_solve_converges_from_state_outside_speed_and_thrust_bands(basis30, defa
     assert diag.converged
 
 
-def test_solve_warm_start_is_no_slower(basis30, default_config):
-    rng = np.random.default_rng(13)
-    for _ in range(3):
-        problem, _ = random_full_instance(rng, basis30, default_config)
-        _, cold = solve(problem)
-        assert cold.converged
-        problem2 = assemble(problem.snapshot, problem.targets, basis30, default_config)
-        _, warm = solve(problem2, warm_start=cold.state)
-        assert warm.converged
-        assert warm.iterations <= cold.iterations
-
-
 def test_solve_nonconvergence_reports_best_iterate(basis30, default_config):
     target = cylinder_target(0.0, 0.05, 0.3)
     problem = make_problem(basis30, default_config, [-1.5, 0, 1], [1.5, 0, 1], [target])
@@ -416,10 +429,8 @@ def test_slack_nonnegative_along_iterations():
     problem, rng = small_problem(7)
     state = SolverState.cold(problem)
     for _ in range(30):
-        advance_one_iteration(problem, state)
+        advance(problem, state, "standard")
         assert np.all(state.slack >= 0.0)
-        state.iter += 1
-        state.rho = SolverConfig().rho_at(state.iter)
 
 
 def test_s3_never_increases_penalty_along_solve(basis30, default_config):
@@ -427,25 +438,15 @@ def test_s3_never_increases_penalty_along_solve(basis30, default_config):
     problem, _ = random_full_instance(rng, basis30, default_config)
     state = SolverState.cold(problem)
     for _ in range(40):
-        state.zeta1 = step_s1(problem, state)
-        state.polar.alpha, state.polar.beta = step_s2(problem, state)
-        before = penalty(problem, state)
-        state.polar.d = step_s3(problem, state, "standard")
-        after = penalty(problem, state)
+        d_prev = state.polar.d
+        advance(problem, state, "standard")
+        # The penalty at the new trajectory and angles, before and after S3 moved the magnitudes.
+        samples, _ = sample_rows(problem, state.zeta1)
+        omega_rows = omega(state.polar.alpha, state.polar.beta)
+        b_before = build_b(problem, PolarVars(state.polar.alpha, state.polar.beta, d_prev), omega_rows)
+        before = float(np.sum((samples.T.ravel() - b_before) ** 2))
+        after = float(np.sum((samples.T.ravel() - state.b) ** 2))
         assert after <= before + 1e-9 * (1 + before)
-        state.slack = step_s4(problem, state)
-        state.lam = step_s5(problem, state)
-        state.iter += 1
-        state.rho = SolverConfig().rho_at(state.iter)
-
-
-def test_diagnostics_export_record(basis30, default_config):
-    problem = make_problem(basis30, default_config, [0, 0, 1], [0.5, 0, 1])
-    _, diag = solve(problem)
-    record = diag.record()
-    assert set(record) == {"iterations", "eq_residual", "ineq_residual", "residual", "converged", "wall_time_us"}
-    assert record["residual"] == pytest.approx(record["eq_residual"] + record["ineq_residual"])
-    assert record["converged"] is True and record["wall_time_us"] > 0
 
 
 def test_s1_singular_reduced_system_raises():
@@ -465,15 +466,5 @@ def test_solver_config_validation():
         SolverConfig(maxiter=0)
     with pytest.raises(ValueError):
         SolverConfig(threshold=0.0)
-    assert SolverConfig().rho_at(0) == 1.0
-    assert SolverConfig().rho_at(100) == 5e5
-
-
-def test_solver_config_rejects_penalty_below_one():
-    """rho >= 1 at every iteration: a base below 1 would decay the penalty toward 0."""
-    with pytest.raises(ValueError):
-        SolverConfig(rho_base=0.5)
-    with pytest.raises(ValueError):
-        SolverConfig(rho_cap=0.5)
-    config = SolverConfig(rho_base=1.0, rho_cap=1.0)
-    assert config.rho_at(0) == config.rho_at(1000) == 1.0
+    assert rho_at(0) == 1.0
+    assert rho_at(100) == 5e5
