@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -27,7 +26,7 @@ import numpy as np
 
 from .problem import PlanningConfig
 from .scenario import Scenario, ScenarioError, antipodal, generate_random, load_scenario
-from .sim import MISSION_TIME_LIMIT, run_mission
+from .sim import MISSION_TIME_LIMIT, MODES, run_mission
 from .solver import SolverConfig
 
 CSV_COLUMNS = [
@@ -199,10 +198,9 @@ def cmd_sweep(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
         seeds = _parse_seeds(args.seeds)
-        gammas = [float(g) for g in args.gamma.split(",") if g]
         ws_lo, ws_hi = _parse_workspace(args.workspace)
-        if not sizes or not gammas:
-            raise ValueError("sizes and gamma lists must be non-empty")
+        if not sizes:
+            raise ValueError("sizes list must be non-empty")
     except ValueError as exc:
         print(f"invalid sweep spec: {exc}", file=sys.stderr)
         return 1
@@ -228,7 +226,7 @@ def cmd_sweep(args) -> int:
         }
         for size in sizes
         for seed in seeds
-        for gamma in gammas
+        for gamma in args.gamma
     ]
 
     rows = []
@@ -284,8 +282,16 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _gamma_list(text: str) -> list[float]:
+    """``sweep --gamma``: one or more comma-separated numbers."""
+    gammas = [float(g) for g in text.split(",") if g]
+    if not gammas:
+        raise ValueError("empty gamma list")
+    return gammas
+
+
 def _add_common_solver_flags(parser):
-    parser.add_argument("--mode", choices=("standard", "bf"), default="standard")
+    parser.add_argument("--mode", choices=MODES, default="standard")
     parser.add_argument("--gamma", type=float, default=1.0, help="barrier constant in [0, 1]")
     parser.add_argument("--maxiter", type=int, default=SolverConfig.maxiter)
     parser.add_argument("--threshold", type=float, default=SolverConfig.threshold)
@@ -306,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a sizes x seeds x gamma benchmark sweep")
     p_sweep.add_argument("--sizes", required=True, help="comma-separated swarm sizes, e.g. 10,20")
     p_sweep.add_argument("--seeds", required=True, help="seed range lo:hi or comma list")
-    p_sweep.add_argument("--gamma", default="1.0", help="comma-separated gamma values")
-    p_sweep.add_argument("--mode", choices=("standard", "bf"), default="standard")
+    p_sweep.add_argument("--gamma", type=_gamma_list, default=[1.0], help="comma-separated gamma values")
+    p_sweep.add_argument("--mode", choices=MODES, default="standard")
     p_sweep.add_argument("--obstacles", type=int, default=16)
     p_sweep.add_argument("--workspace", default="4x4x2", help="workspace dims WxDxH in meters")
     p_sweep.add_argument("--out", required=True, help="output directory")
@@ -334,14 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _gamma_error(args) -> str | None:
-    """Why the ``--gamma`` flag is unusable, or None.  ``sweep`` takes a comma-separated list."""
-    gamma = getattr(args, "gamma", None)
-    if gamma is None:
+    """Why the ``--gamma`` values are unusable, or None.  ``sweep`` takes a list."""
+    if not hasattr(args, "gamma"):
         return None
-    try:
-        gammas = [gamma] if isinstance(gamma, float) else [float(g) for g in gamma.split(",") if g]
-    except ValueError:
-        return f"gamma values must lie in [0, 1], got {gamma!r}"
+    gammas = np.atleast_1d(args.gamma).tolist()
     bad = [g for g in gammas if not 0.0 <= g <= 1.0]
     if bad:
         return f"gamma values must lie in [0, 1], got {bad}"

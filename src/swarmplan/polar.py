@@ -38,9 +38,6 @@ class EllipsoidShape:
         return EllipsoidShape(self.a + other.a, self.b + other.b, self.c + other.c)
 
 
-UNIT_SHAPE = EllipsoidShape(1.0, 1.0, 1.0)
-
-
 @dataclass
 class PolarVars:
     """Auxiliary direction/magnitude variables, one triple per constraint row.

@@ -39,7 +39,6 @@ class PlanningConfig:
     w_goal: float = 7000.0
     w_smooth: float = 100.0
     kappa: int = 5
-    smoothness_order: int = 2
     v_max: float = 1.73
     f_min: float = 0.3 * GRAVITY
     f_max: float = 1.5 * GRAVITY
@@ -55,8 +54,6 @@ class PlanningConfig:
             raise ValueError(f"kappa must satisfy 1 <= kappa < K, got kappa={self.kappa}, K={self.K}")
         if self.f_min >= self.f_max:
             raise ValueError(f"acceleration bounds require f_min < f_max, got {self.f_min} >= {self.f_max}")
-        if self.smoothness_order != 2:
-            raise ValueError("only smoothness order 2 (acceleration penalty) is supported")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if np.any(np.asarray(self.p_min) >= np.asarray(self.p_max)):

@@ -28,6 +28,7 @@ from .solver import SolverConfig, solve
 MISSION_TIME_LIMIT = 20.0
 GOAL_TOL_POS = 0.1
 GOAL_TOL_VEL = 0.2
+MODES = ("standard", "bf")
 
 
 @dataclass
@@ -169,19 +170,24 @@ def run_mission(
     solver_config: SolverConfig | None = None,
     mode: str = "standard",
     time_limit: float = MISSION_TIME_LIMIT,
-    goal_tol_pos: float = GOAL_TOL_POS,
-    goal_tol_vel: float = GOAL_TOL_VEL,
     record_trajectory: bool = False,
 ) -> MissionReport:
     """Simulate one mission and return its report.
 
     The planning workspace defaults to the scenario volume inflated by
-    0.05 m.  Non-convergent solves execute their best iterate and are only
-    counted, never treated as mission failures.
+    0.05 m.  The barrier runs at ``planning_config.gamma``, whatever the
+    mode: ``"standard"`` names the plain bound, the barrier at gamma = 1, and
+    raises :class:`ValueError` with any other gamma, as an unknown mode does.
+    Non-convergent solves execute their best iterate and are only counted,
+    never treated as mission failures.
     """
     if planning_config is None:
         lo, hi = scenario.workspace
         planning_config = PlanningConfig(p_min=tuple(lo - 0.05), p_max=tuple(hi + 0.05))
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "standard" and planning_config.gamma != 1.0:
+        raise ValueError(f"standard mode is the barrier at gamma = 1, got gamma = {planning_config.gamma}")
     solver_config = solver_config or SolverConfig()
     config = planning_config
     basis = build_basis(config.K, config.n, config.dt)
@@ -226,7 +232,7 @@ def run_mission(
         if violations:
             collision_events.extend((world.round_index, a, b, m) for a, b, m in violations)
             break
-        if all(check_goal_reached(s, s.goal, goal_tol_pos, goal_tol_vel) for s in world.snapshots):
+        if all(check_goal_reached(s, s.goal) for s in world.snapshots):
             success = True
             break
         if world.elapsed > time_limit + 1e-9:
@@ -242,7 +248,7 @@ def run_mission(
             t0 = time.perf_counter()
             targets = detect_conflicts(shifted[i], neighbor_plans, obstacle_tracks, config)
             problem = assemble(world.snapshots[i], targets, basis, config)
-            zeta, diag = solve(problem, solver_config, mode)
+            zeta, diag = solve(problem, solver_config)
             per_agent_compute[i].append((time.perf_counter() - t0) * 1e6)
             pos, vel, acc = sample_trajectory(basis, zeta)
             nonconverged += not diag.converged
@@ -269,8 +275,8 @@ def run_mission(
         report.trajectory = {
             "dt": dt,
             "time_limit": time_limit,
-            "goal_tol_pos": goal_tol_pos,
-            "goal_tol_vel": goal_tol_vel,
+            "goal_tol_pos": GOAL_TOL_POS,
+            "goal_tol_vel": GOAL_TOL_VEL,
             "goals": [g.tolist() for _, g in scenario.agents],
             "theta_coll": config.theta_coll.as_array.tolist(),
             "obstacle_axes": [ax.tolist() for ax in declared_axes],

@@ -7,7 +7,7 @@ Each iteration performs five block updates on the relaxed problem
 
 S1  trajectory coefficients ``z`` via an equality-constrained QP solve,
 S2  closed-form angle updates (projection onto the constraint ellipsoids),
-S3  closed-form clipped magnitude updates (standard or barrier bounds),
+S3  closed-form clipped magnitude updates (barrier bounds on collision rows),
 S4  nonnegative slack update for the bound rows,
 S5  multiplier update.
 
@@ -28,8 +28,6 @@ from scipy.linalg import cho_factor, cho_solve
 from .bernstein import sample_trajectory
 from .polar import PolarVars, _project_scaled, bf_lower_bound, clipped_magnitude, omega
 from .problem import PlanningProblem, build_b
-
-MODES = ("standard", "bf")
 
 # Penalty schedule rho_k = min(RHO_BASE**k, RHO_CAP).  rho >= 1 at every
 # iteration keeps the reduced S1 Hessian positive definite (see step_s1).
@@ -97,8 +95,8 @@ class SolverState:
 
         The first target vector is built from the zero polar variables; then
         the collision magnitudes are set to the measured anchors, so the
-        ``bf`` barrier's first bound reads the measured state rather than the
-        zero placeholder, which would make it looser than the plain bound 1.
+        barrier's first bound reads the measured state rather than the zero
+        placeholder, which would make it looser than the plain bound 1.
         """
         polar = PolarVars.zeros(problem.n_rows)
         state = cls(
@@ -167,24 +165,22 @@ def step_s3(
     state: SolverState,
     samples: np.ndarray,
     omega_rows: np.ndarray,
-    mode: str,
 ) -> np.ndarray:
     """Magnitude update: per-row quadratic vertex clipped into the feasible interval.
 
-    ``omega_rows`` holds the directions of the angles just updated.  In
-    ``bf`` mode the collision lower bounds follow the barrier rule
-    ``1 + (1 - gamma) * (d_prev - 1)`` instead of the constant boundary value
-    1, where ``d_prev`` is the previous iterate's magnitude one step earlier
-    and, for step 0, the measured anchor.  Step 0 is pinned to the measured
-    state, so its bound is also capped at the assembled step-0 bound
+    ``omega_rows`` holds the directions of the angles just updated.  The
+    collision lower bounds follow the barrier rule
+    ``1 + (1 - gamma) * (d_prev - 1)`` at ``problem.config.gamma``, where
+    ``d_prev`` is the previous iterate's magnitude one step earlier and, for
+    step 0, the measured anchor.  With ``gamma = 1`` the rule is the plain
+    boundary value 1, bit for bit.  Step 0 is pinned to the measured state,
+    so its bound is also capped at the assembled step-0 bound
     ``min(1, anchor)``.  A cold start seeds the previous magnitudes with the
     anchors (see :meth:`SolverState.cold`), so the first bound reads the
     measured state.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     lo = problem.lo_base
-    if mode == "bf" and problem.M:
+    if problem.M:
         d_prev = state.polar.d[problem.col_rows].reshape(problem.M, problem.K)
         shifted = np.empty_like(d_prev)
         shifted[:, 0] = problem.anchors
@@ -208,7 +204,7 @@ def step_s5(problem: PlanningProblem, state: SolverState, r_eq: np.ndarray, viol
     return state.lam - half_rho * (problem.AT @ r_eq) - half_rho * (problem.GT @ viol)
 
 
-def advance(problem: PlanningProblem, state: SolverState, mode: str) -> None:
+def advance(problem: PlanningProblem, state: SolverState) -> None:
     """One iteration in place: S1..S5, the residuals, and the next penalty.
 
     After S4 the bound residual ``G z - h + s`` equals ``max(G z - h, 0)``.
@@ -217,7 +213,7 @@ def advance(problem: PlanningProblem, state: SolverState, mode: str) -> None:
     samples, gz = sample_rows(problem, state.zeta1)
     state.polar.alpha, state.polar.beta = step_s2(problem, samples)
     omega_rows = omega(state.polar.alpha, state.polar.beta)
-    state.polar.d = step_s3(problem, state, samples, omega_rows, mode)
+    state.polar.d = step_s3(problem, state, samples, omega_rows)
     state.slack = step_s4(problem, gz)
     state.b = build_b(problem, state.polar, omega_rows)
     r_eq = samples.T.ravel() - state.b
@@ -229,11 +225,7 @@ def advance(problem: PlanningProblem, state: SolverState, mode: str) -> None:
     state.rho = rho_at(state.iter)
 
 
-def solve(
-    problem: PlanningProblem,
-    config: SolverConfig | None = None,
-    mode: str = "standard",
-) -> tuple[np.ndarray, SolveDiagnostics]:
+def solve(problem: PlanningProblem, config: SolverConfig | None = None) -> tuple[np.ndarray, SolveDiagnostics]:
     """Run the alternating updates from a cold start until the residual settles or the iteration cap.
 
     Step-0 rows admit the measured state (see
@@ -241,8 +233,6 @@ def solve(
     ordinary bound does not floor the residual.  Returns the lowest-residual
     iterate and the diagnostics of the last one.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     config = config or SolverConfig()
     state = SolverState.cold(problem)
     best_zeta = state.zeta1
@@ -252,7 +242,7 @@ def solve(
     floor_hits = 0
 
     while state.iter < config.maxiter:
-        advance(problem, state, mode)
+        advance(problem, state)
         residual = state.eq_residual + state.ineq_residual
         if residual < best_residual:
             best_residual = residual

@@ -3,7 +3,7 @@ import pytest
 
 from swarmplan.bernstein import build_basis, refit_coefficients, sample_trajectory
 
-from oracles import bernstein_value, finite_difference_derivative
+from oracles import finite_difference_derivative
 
 
 def test_degree_one_basis_hits_endpoints():

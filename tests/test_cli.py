@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from swarmplan.cli import CSV_COLUMNS, main
-from swarmplan.scenario import antipodal, generate_random, save_scenario
+from swarmplan.scenario import generate_random, save_scenario
 from swarmplan.sim import replay_outcome
 
 WS = (np.array([-2.0, -2.0, 0.0]), np.array([2.0, 2.0, 2.0]))
@@ -61,6 +61,15 @@ def test_standard_mode_rejects_gamma_below_one(scenario_file, tmp_path, capsys):
         assert "--mode bf" in capsys.readouterr().err
     assert not out.exists()
     assert main(["antipodal", "--agents", "2", "--gamma", "0.9", "--mode", "bf", "--out", str(tmp_path / "bf.json")]) == 0
+
+
+def test_sweep_rejects_unparsable_gamma(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--sizes", "2", "--seeds", "0:1", "--gamma", "1.0,abc", "--out", str(out)])
+    assert info.value.code == 1
+    assert "--gamma" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_exits_one(capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from swarmplan.polar import EllipsoidShape, bf_lower_bound, omega, project_angles, solve_magnitude
 
-from oracles import grid_search_angles, magnitude_objective, projection_objective, ternary_search_magnitude
+from oracles import grid_search_angles, projection_objective, ternary_search_magnitude
 
 UNIT = EllipsoidShape(1.0, 1.0, 1.0)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swarmplan.bernstein import build_basis, sample_trajectory
+from swarmplan.bernstein import sample_trajectory
 from swarmplan.polar import EllipsoidShape, PolarVars, omega
 from swarmplan.problem import (
     GRAVITY,

@@ -5,7 +5,6 @@ from swarmplan.polar import EllipsoidShape
 from swarmplan.problem import GRAVITY, AgentSnapshot, PlanningConfig
 from swarmplan.scenario import Obstacle, Scenario, antipodal, generate_random
 from swarmplan.sim import (
-    MissionReport,
     check_collision,
     check_goal_reached,
     declared_obstacle_axes,
@@ -35,6 +34,17 @@ def test_mission_already_at_goal_succeeds_immediately():
     report = run_mission(scenario)
     assert report.success and report.rounds == 0 and report.mission_time == 0.0
     assert report.collision_events == []
+
+
+def test_run_mission_rejects_bad_mode_before_round_zero():
+    """The mode is checked before the first round, so a mission that is over at
+    round 0 still reports an unknown mode, or standard mode with gamma != 1."""
+    scenario = Scenario(seed=0, agents=[(np.array([0.3, 0.2, 1.0]), np.array([0.3, 0.2, 1.0]))], workspace=WS)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        run_mission(scenario, mode="barrier")
+    with pytest.raises(ValueError, match="gamma = 1"):
+        run_mission(scenario, PlanningConfig(gamma=0.9), mode="standard")
+    assert run_mission(scenario, PlanningConfig(gamma=0.9), mode="bf").success
 
 
 def test_mission_with_coincident_agents_declares_collision_at_round_zero():

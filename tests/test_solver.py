@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
+from swarmplan import solver
 from swarmplan.bernstein import build_basis, refit_coefficients, sample_trajectory
-from swarmplan.polar import EllipsoidShape, PolarVars, omega
+from swarmplan.polar import EllipsoidShape, PolarVars, clipped_magnitude, omega
 from swarmplan.problem import AgentSnapshot, ConstraintTarget, PlanningConfig, assemble, build_b
 from swarmplan.solver import (
     SolverConfig,
@@ -66,6 +67,28 @@ def updated_angles(problem, state):
     samples, _ = sample_rows(problem, state.zeta1)
     alpha, beta = step_s2(problem, samples)
     return samples, alpha, beta, omega(alpha, beta)
+
+
+def plain_bound_clip(problem, samples, omega_rows):
+    """S3 with the constant collision bound of the assembled problem (1, and ``min(1, anchor)`` at step 0)."""
+    return clipped_magnitude(samples - problem.centers, omega_rows, problem.scales, problem.lo_base, problem.hi_bounds)
+
+
+def check_s3_against_plain_bound(monkeypatch):
+    """Make every S3 the solver runs assert that it equals :func:`plain_bound_clip` bit for bit.
+
+    Returns the list that records the number of collision targets of each checked call.
+    """
+    calls = []
+
+    def checked(problem, state, samples, omega_rows):
+        d = step_s3(problem, state, samples, omega_rows)
+        np.testing.assert_array_equal(d, plain_bound_clip(problem, samples, omega_rows))
+        calls.append(problem.M)
+        return d
+
+    monkeypatch.setattr(solver, "step_s3", checked)
+    return calls
 
 
 # ---------------------------------------------------------------- S1
@@ -199,7 +222,7 @@ def test_s3_far_obstacle_leaves_clip_inactive(basis30, default_config):
     state = SolverState.cold(problem)
     state.zeta1 = refit_coefficients(basis30, np.tile([0.0, 0.0, 1.0], (30, 1)))
     samples, *_, omega_rows = updated_angles(problem, state)
-    d = step_s3(problem, state, samples, omega_rows, "standard")
+    d = step_s3(problem, state, samples, omega_rows)
     assert np.all(d[problem.col_rows] > 1.0)
 
 
@@ -208,10 +231,13 @@ def test_s3_bf_gamma_one_is_bitwise_standard():
     for seed in range(10):
         problem, _ = small_problem(seed)  # default config has gamma = 1.0
         state = random_state(problem, rng)
+        # Run the trajectory through the obstacle so the collision rows clip at their lower bound.
+        centers = problem.targets[0].predicted_centers
+        state.zeta1 = refit_coefficients(problem.basis, centers + rng.normal(0.0, 0.1, centers.shape))
         samples, *_, omega_rows = updated_angles(problem, state)
-        np.testing.assert_array_equal(
-            step_s3(problem, state, samples, omega_rows, "bf"), step_s3(problem, state, samples, omega_rows, "standard")
-        )
+        d = step_s3(problem, state, samples, omega_rows)
+        np.testing.assert_array_equal(d, plain_bound_clip(problem, samples, omega_rows))
+        assert np.any(d[problem.col_rows] == 1.0)
 
 
 def test_s3_rows_minimize_clipped_quadratic():
@@ -219,7 +245,7 @@ def test_s3_rows_minimize_clipped_quadratic():
     problem, _ = small_problem(1)
     state = random_state(problem, rng)
     samples, alpha, beta, omega_rows = updated_angles(problem, state)
-    d = step_s3(problem, state, samples, omega_rows, "standard")
+    d = step_s3(problem, state, samples, omega_rows)
     for row in range(problem.n_rows):
         shape = EllipsoidShape(*problem.scales[row])
         d_ref = ternary_search_magnitude(
@@ -244,21 +270,13 @@ def test_s3_bf_uses_anchor_and_previous_iterate():
     state = random_state(problem, rng)
     samples, *_, omega_rows = updated_angles(problem, state)
     d_prev = state.polar.d[problem.col_rows].copy()
-    d = step_s3(problem, state, samples, omega_rows, "bf")
+    d = step_s3(problem, state, samples, omega_rows)
     K = problem.K
     gamma = 0.9
     lo0 = 1 + (1 - gamma) * (problem.anchors[0] - 1)
     assert d[problem.col_rows][0] >= lo0 - 1e-12
     lo_rest = 1 + (1 - gamma) * (d_prev[:-1] - 1)
     assert np.all(d[problem.col_rows][1:] >= lo_rest - 1e-12)
-
-
-def test_s3_mode_validation():
-    problem, rng = small_problem(0)
-    state = random_state(problem, rng)
-    samples, *_, omega_rows = updated_angles(problem, state)
-    with pytest.raises(ValueError):
-        step_s3(problem, state, samples, omega_rows, "bff")
 
 
 # ---------------------------------------------------------------- S4 / S5
@@ -302,7 +320,7 @@ def test_s5_no_update_without_residual_or_rho():
     np.testing.assert_array_equal(step_s5(problem, state, r_eq, viol), state.lam)
     lam = state.lam.copy()
     state.rho = 0.0
-    advance(problem, state, "standard")
+    advance(problem, state)
     assert state.eq_residual > 0
     np.testing.assert_array_equal(state.lam, lam)
 
@@ -312,7 +330,7 @@ def test_s5_matches_direct_expression():
     problem, rng = small_problem(6)
     state = random_state(problem, rng)
     lam, rho = state.lam.copy(), state.rho
-    advance(problem, state, "standard")
+    advance(problem, state)
     r_eq = problem.A @ state.zeta1 - state.b
     viol = problem.G @ state.zeta1 - problem.h + state.slack
     expected = lam - 0.5 * rho * (problem.A.T @ r_eq) - 0.5 * rho * (problem.G.T @ viol)
@@ -349,7 +367,7 @@ def test_solve_gamma_sweep_increases_clearance(basis30):
     def min_clearance(gamma):
         config = PlanningConfig(gamma=gamma)
         problem = make_problem(basis30, config, [-1.5, 0, 1], [1.5, 0, 1], [target])
-        zeta, diag = solve(problem, mode="bf")
+        zeta, diag = solve(problem)
         assert diag.converged
         pos, *_ = sample_trajectory(basis30, zeta)
         return np.sum(((pos - target.predicted_centers) / target.shape.as_array) ** 2, axis=1).min()
@@ -357,27 +375,28 @@ def test_solve_gamma_sweep_increases_clearance(basis30):
     assert min_clearance(0.9) >= min_clearance(1.0)
 
 
-def test_solve_bf_gamma_one_bitwise_matches_standard(basis30):
+def test_solve_bf_gamma_one_bitwise_matches_standard(basis30, monkeypatch):
+    """At gamma = 1 every S3 of a solve is the plain-bound clip, bit for bit."""
+    calls = check_s3_against_plain_bound(monkeypatch)
     rng = np.random.default_rng(12)
     config = PlanningConfig(gamma=1.0)
+    iterations = 0
     for _ in range(5):
         problem, _ = random_full_instance(rng, basis30, config)
-        z_std, d_std = solve(problem, mode="standard")
-        problem2 = assemble(problem.snapshot, problem.targets, basis30, config)
-        z_bf, d_bf = solve(problem2, mode="bf")
-        np.testing.assert_array_equal(z_std, z_bf)
-        assert d_std.iterations == d_bf.iterations
+        _, diag = solve(problem)
+        iterations += diag.iterations
+    assert len(calls) == iterations and min(calls) == 1
 
 
 def test_solve_bf_cold_start_never_looser_than_plain_bound(basis30):
-    """Criterion 3's feasibility check in bf mode: the first barrier bound reads
+    """Criterion 3's feasibility check at gamma = 0.9: the first barrier bound reads
     the measured state, not the zero placeholder magnitudes of a cold start."""
     config = PlanningConfig(gamma=0.9)
     rng = np.random.default_rng(7)
     converged = 0
     for _ in range(100):
         problem, target = random_full_instance(rng, basis30, config)
-        zeta, diag = solve(problem, mode="bf")
+        zeta, diag = solve(problem)
         if not diag.converged:
             continue
         converged += 1
@@ -387,14 +406,14 @@ def test_solve_bf_cold_start_never_looser_than_plain_bound(basis30):
     assert converged >= 95
 
 
-@pytest.mark.parametrize("mode", ["standard", "bf"])
-def test_solve_converges_from_start_inside_envelope(basis30, mode):
+@pytest.mark.parametrize("gamma", [1.0, 0.9])
+def test_solve_converges_from_start_inside_envelope(basis30, gamma):
     """Step 0 is pinned to the measured state, so its collision row must admit an
     anchor below 1 or the residual has a floor above the threshold."""
     target = cylinder_target(0.0, 0.0, 0.3)
-    problem = make_problem(basis30, PlanningConfig(gamma=0.9), [-0.27, 0, 1], [-1.5, 0, 1], [target])
+    problem = make_problem(basis30, PlanningConfig(gamma=gamma), [-0.27, 0, 1], [-1.5, 0, 1], [target])
     assert problem.anchors[0] < 1.0
-    _, diag = solve(problem, mode=mode)
+    _, diag = solve(problem)
     assert diag.converged
 
 
@@ -419,17 +438,11 @@ def test_solve_nonconvergence_reports_best_iterate(basis30, default_config):
     assert np.all(np.isfinite(zeta))
 
 
-def test_solve_mode_validation(basis30, default_config):
-    problem = make_problem(basis30, default_config, [0, 0, 1], [1, 0, 1])
-    with pytest.raises(ValueError):
-        solve(problem, mode="barrier")
-
-
 def test_slack_nonnegative_along_iterations():
     problem, rng = small_problem(7)
     state = SolverState.cold(problem)
     for _ in range(30):
-        advance(problem, state, "standard")
+        advance(problem, state)
         assert np.all(state.slack >= 0.0)
 
 
@@ -439,7 +452,7 @@ def test_s3_never_increases_penalty_along_solve(basis30, default_config):
     state = SolverState.cold(problem)
     for _ in range(40):
         d_prev = state.polar.d
-        advance(problem, state, "standard")
+        advance(problem, state)
         # The penalty at the new trajectory and angles, before and after S3 moved the magnitudes.
         samples, _ = sample_rows(problem, state.zeta1)
         omega_rows = omega(state.polar.alpha, state.polar.beta)
