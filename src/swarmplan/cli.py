@@ -24,9 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .problem import PlanningConfig
 from .scenario import Scenario, ScenarioError, antipodal, generate_random, load_scenario
-from .sim import MISSION_TIME_LIMIT, MODES, run_mission
+from .sim import MISSION_TIME_LIMIT, MODES, default_planning_config, run_mission
 from .solver import SolverConfig
 
 CSV_COLUMNS = [
@@ -54,11 +53,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _planning_config(scenario: Scenario, gamma: float) -> PlanningConfig:
-    lo, hi = scenario.workspace
-    return PlanningConfig(gamma=gamma, p_min=tuple(lo - 0.05), p_max=tuple(hi + 0.05))
 
 
 def _solver_config(args) -> SolverConfig:
@@ -101,7 +95,7 @@ def _run_and_write(scenario: Scenario, args, time_limit: float = MISSION_TIME_LI
     """Run one mission from the solver flags; write its report (``--out`` or stdout) and ``--dump``."""
     report = run_mission(
         scenario,
-        _planning_config(scenario, args.gamma),
+        default_planning_config(scenario, args.gamma),
         _solver_config(args),
         mode=args.mode,
         time_limit=time_limit,
@@ -137,7 +131,7 @@ def _run_trial(spec: dict) -> dict:
     scenario = generate_random(seed, size, spec["obstacles"], workspace)
     report = run_mission(
         scenario,
-        _planning_config(scenario, gamma),
+        default_planning_config(scenario, gamma),
         SolverConfig(maxiter=spec["maxiter"], threshold=spec["threshold"]),
         mode=spec["mode"],
         record_trajectory=spec["dump_dir"] is not None,
@@ -290,11 +284,25 @@ def _gamma_list(text: str) -> list[float]:
     return gammas
 
 
+def _solver_flag(name: str, convert):
+    """Argparse type for a ``SolverConfig`` field: a value it rejects is a usage error."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            SolverConfig(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
+
+
 def _add_common_solver_flags(parser):
     parser.add_argument("--mode", choices=MODES, default="standard")
     parser.add_argument("--gamma", type=float, default=1.0, help="barrier constant in [0, 1]")
-    parser.add_argument("--maxiter", type=int, default=SolverConfig.maxiter)
-    parser.add_argument("--threshold", type=float, default=SolverConfig.threshold)
+    parser.add_argument("--maxiter", type=_solver_flag("maxiter", int), default=SolverConfig.maxiter)
+    parser.add_argument("--threshold", type=_solver_flag("threshold", float), default=SolverConfig.threshold)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel trial processes")
     p_sweep.add_argument("--dump", action="store_true", help="also write per-trial trajectory dumps")
-    p_sweep.add_argument("--maxiter", type=int, default=SolverConfig.maxiter)
-    p_sweep.add_argument("--threshold", type=float, default=SolverConfig.threshold)
+    p_sweep.add_argument("--maxiter", type=_solver_flag("maxiter", int), default=SolverConfig.maxiter)
+    p_sweep.add_argument("--threshold", type=_solver_flag("threshold", float), default=SolverConfig.threshold)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_anti = sub.add_parser("antipodal", help="run a circle position-exchange mission")

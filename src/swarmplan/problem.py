@@ -30,7 +30,8 @@ class PlanningConfig:
     """Planner parameters; defaults are the benchmark values used throughout.
 
     ``p_min``/``p_max`` bound the position samples; the simulator overrides
-    them with the scenario volume inflated by 0.05 m.
+    them with ``sim.default_planning_config``, the scenario volume inflated
+    by 0.05 m.
     """
 
     K: int = 30
@@ -102,37 +103,37 @@ class ConstraintTarget:
 
 def detect_conflicts(
     own_plan: np.ndarray,
-    neighbor_plans: dict,
+    neighbor_plans: np.ndarray,
     obstacle_tracks: list[tuple[EllipsoidShape, np.ndarray]],
     config: PlanningConfig,
 ) -> list[ConstraintTarget]:
     """Select the neighbours/obstacles whose padded envelopes the plan enters.
 
-    A neighbour is a conflict if at any step the difference to its predicted
-    position lies inside the agent envelope inflated by the padding shape;
-    obstacles use their own shape inflated the same way.  Neighbours are
-    scanned in sorted key order, then obstacles in list order, which fixes
+    ``neighbor_plans`` stacks the neighbours' predicted positions,
+    ``n_neighbors x K x 3``.  A neighbour is a conflict if at any step the
+    difference to its predicted position lies inside the agent envelope
+    inflated by the padding shape; obstacles use their own shape inflated
+    the same way.  Every track must have K rows.  Targets come out as
+    neighbours in stacking order, then obstacles in list order, which fixes
     the constraint block ordering downstream.
     """
     own_plan = np.asarray(own_plan, dtype=float)
     K = own_plan.shape[0]
-    targets: list[ConstraintTarget] = []
-
-    def inside_any(centers: np.ndarray, inflated: EllipsoidShape) -> bool:
-        if centers.shape[0] != K:
-            raise ValueError(f"predicted centers must have {K} rows, got {centers.shape[0]}")
-        scaled = (own_plan - centers) / inflated.as_array
-        return bool(np.any(np.sum(scaled**2, axis=1) <= 1.0))
-
-    for key in sorted(neighbor_plans):
-        centers = np.asarray(neighbor_plans[key], dtype=float)
-        if inside_any(centers, config.theta_agent.inflate(config.theta_padding)):
-            targets.append(ConstraintTarget("neighbor", config.theta_agent, centers))
-    for shape, centers in obstacle_tracks:
-        centers = np.asarray(centers, dtype=float)
-        if inside_any(centers, shape.inflate(config.theta_padding)):
-            targets.append(ConstraintTarget("obstacle", shape, centers))
-    return targets
+    n_neighbors = len(neighbor_plans)
+    shapes = [config.theta_agent] * n_neighbors + [shape for shape, _ in obstacle_tracks]
+    tracks = [*neighbor_plans, *(centers for _, centers in obstacle_tracks)]
+    bad_rows = [len(centers) for centers in tracks if len(centers) != K]
+    if bad_rows:
+        raise ValueError(f"predicted centers must have {K} rows, got {bad_rows[0]}")
+    centers = np.reshape(np.asarray(tracks, dtype=float), (-1, K, 3))
+    inflated = [config.theta_agent.inflate(config.theta_padding).as_array] * n_neighbors
+    inflated += [shape.inflate(config.theta_padding).as_array for shape, _ in obstacle_tracks]
+    scaled = (own_plan - centers) / np.reshape(inflated, (-1, 1, 3))
+    inside = np.any(np.sum(scaled**2, axis=-1) <= 1.0, axis=-1)
+    return [
+        ConstraintTarget("neighbor" if c < n_neighbors else "obstacle", shapes[c], centers[c])
+        for c in np.flatnonzero(inside)
+    ]
 
 
 class PlanningProblem:

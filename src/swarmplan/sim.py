@@ -26,25 +26,12 @@ from .scenario import Obstacle, Scenario
 from .solver import SolverConfig, solve
 
 MISSION_TIME_LIMIT = 20.0
+# round * dt can round above the exact clock (12 * 0.1 = 1.2000000000000002).
+CLOCK_TOL = 1e-9
 GOAL_TOL_POS = 0.1
 GOAL_TOL_VEL = 0.2
 MODES = ("standard", "bf")
-
-
-@dataclass
-class WorldState:
-    """Mutable simulation state between rounds."""
-
-    round_index: int
-    snapshots: list[AgentSnapshot]
-    plans: list[tuple[np.ndarray, np.ndarray]]  # published (positions, velocities), K x 3 each
-    obstacles: list[Obstacle]
-    dt: float
-
-    @property
-    def elapsed(self) -> float:
-        """Mission clock in seconds; advances by exactly dt per round."""
-        return self.round_index * self.dt
+PLANNING_MARGIN = 0.05
 
 
 @dataclass
@@ -149,19 +136,18 @@ def check_goal_reached(snapshot: AgentSnapshot, goal, tol_pos: float = GOAL_TOL_
     )
 
 
-def _shift_plan(positions: np.ndarray) -> np.ndarray:
-    """Advance a published plan by one step, holding the terminal sample."""
-    shifted = np.empty_like(positions)
-    shifted[:-1] = positions[1:]
-    shifted[-1] = positions[-1]
-    return shifted
-
-
 def declared_obstacle_axes(shape, config: PlanningConfig) -> np.ndarray:
     """Declaration envelope for an obstacle: its planning envelope deflated by
     the same margin agents enjoy between planning and declared shapes."""
     margin = config.theta_agent.as_array - config.theta_coll.as_array
     return np.maximum(shape.as_array - margin, 1e-6)
+
+
+def default_planning_config(scenario: Scenario, gamma: float = 1.0) -> PlanningConfig:
+    """Default planner settings for a scenario: position samples are bounded
+    by the scenario volume inflated by ``PLANNING_MARGIN`` on every side."""
+    lo, hi = scenario.workspace
+    return PlanningConfig(gamma=gamma, p_min=tuple(lo - PLANNING_MARGIN), p_max=tuple(hi + PLANNING_MARGIN))
 
 
 def run_mission(
@@ -174,16 +160,17 @@ def run_mission(
 ) -> MissionReport:
     """Simulate one mission and return its report.
 
-    The planning workspace defaults to the scenario volume inflated by
-    0.05 m.  The barrier runs at ``planning_config.gamma``, whatever the
-    mode: ``"standard"`` names the plain bound, the barrier at gamma = 1, and
+    ``planning_config`` defaults to :func:`default_planning_config`.  The
+    barrier runs at ``planning_config.gamma``, whatever the mode:
+    ``"standard"`` names the plain bound, the barrier at gamma = 1, and
     raises :class:`ValueError` with any other gamma, as an unknown mode does.
-    Non-convergent solves execute their best iterate and are only counted,
-    never treated as mission failures.
+    The published plans are one ``n_agents x K x 3`` array of positions.  A
+    round more than ``CLOCK_TOL`` past ``time_limit`` is a timeout, even with
+    every agent at its goal.  Non-convergent solves execute their best
+    iterate and are only counted, never treated as mission failures.
     """
     if planning_config is None:
-        lo, hi = scenario.workspace
-        planning_config = PlanningConfig(p_min=tuple(lo - 0.05), p_max=tuple(hi + 0.05))
+        planning_config = default_planning_config(scenario)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "standard" and planning_config.gamma != 1.0:
@@ -194,14 +181,10 @@ def run_mission(
     K, dt = config.K, config.dt
     n_agents = scenario.n_agents
 
-    world = WorldState(
-        round_index=0,
-        snapshots=[AgentSnapshot(position=s.copy(), goal=g.copy()) for s, g in scenario.agents],
-        plans=[(np.tile(s, (K, 1)), np.zeros((K, 3))) for s, _ in scenario.agents],
-        obstacles=[Obstacle(o.center.copy(), o.velocity.copy(), o.shape, o.kind) for o in scenario.obstacles],
-        dt=dt,
-    )
-    declared_axes = [declared_obstacle_axes(o.shape, config) for o in world.obstacles]
+    snapshots = [AgentSnapshot(position=s.copy(), goal=g.copy()) for s, g in scenario.agents]
+    plans = np.repeat([[s] for s, _ in scenario.agents], K, axis=1)  # every agent hovers at its start
+    obstacles = [Obstacle(o.center.copy(), o.velocity.copy(), o.shape, o.kind) for o in scenario.obstacles]
+    declared_axes = [declared_obstacle_axes(o.shape, config) for o in obstacles]
 
     per_agent_compute: list[list[float]] = [[] for _ in range(n_agents)]
     min_inter: list[float | None] = []
@@ -210,12 +193,13 @@ def run_mission(
     trajectory_rounds: list[dict] = []
     nonconverged = 0
     success = timeout = False
+    round_index = 0
 
     while True:
-        positions = np.array([snap.position for snap in world.snapshots])
-        velocities = np.array([snap.velocity for snap in world.snapshots])
+        positions = np.array([snap.position for snap in snapshots])
+        velocities = np.array([snap.velocity for snap in snapshots])
 
-        declared = [(o.center, ax) for o, ax in zip(world.obstacles, declared_axes)]
+        declared = [(o.center, ax) for o, ax in zip(obstacles, declared_axes)]
         pair, obstacle = separations(positions, declared, config.theta_coll.as_array)
         min_inter.append(min(pair.tolist(), default=None))
         min_obstacle.append(min(obstacle.ravel().tolist(), default=None))
@@ -224,47 +208,46 @@ def run_mission(
                 {
                     "positions": positions.tolist(),
                     "velocities": velocities.tolist(),
-                    "obstacle_centers": [obs.center.tolist() for obs in world.obstacles],
+                    "obstacle_centers": [obs.center.tolist() for obs in obstacles],
                 }
             )
 
         violations = check_collision(positions, declared, config.theta_coll)
         if violations:
-            collision_events.extend((world.round_index, a, b, m) for a, b, m in violations)
+            collision_events.extend((round_index, a, b, m) for a, b, m in violations)
             break
-        if all(check_goal_reached(s, s.goal) for s in world.snapshots):
-            success = True
-            break
-        if world.elapsed > time_limit + 1e-9:
+        if round_index * dt > time_limit + CLOCK_TOL:
             timeout = True
             break
+        if all(check_goal_reached(s, s.goal) for s in snapshots):
+            success = True
+            break
 
-        # Every agent plans from the plans published last round, so updating
-        # agent i's state and plan below cannot affect a later agent's solve.
-        shifted = [_shift_plan(p) for p, _ in world.plans]
-        obstacle_tracks = [(o.shape, o.predicted_centers(K, dt)) for o in world.obstacles]
+        # Last round's plans one step on, terminal sample held.  The index array
+        # makes a copy, so agent i's new plan below cannot affect a later solve;
+        # each agent sees its own row and the others' rows in index order.
+        shifted = plans[:, np.r_[1:K, K - 1]]
+        obstacle_tracks = [(o.shape, o.predicted_centers(K, dt)) for o in obstacles]
         for i in range(n_agents):
-            neighbor_plans = {j: shifted[j] for j in range(n_agents) if j != i}
+            neighbor_plans = np.delete(shifted, i, axis=0)
             t0 = time.perf_counter()
             targets = detect_conflicts(shifted[i], neighbor_plans, obstacle_tracks, config)
-            problem = assemble(world.snapshots[i], targets, basis, config)
+            problem = assemble(snapshots[i], targets, basis, config)
             zeta, diag = solve(problem, solver_config)
             per_agent_compute[i].append((time.perf_counter() - t0) * 1e6)
             pos, vel, acc = sample_trajectory(basis, zeta)
             nonconverged += not diag.converged
-            world.snapshots[i] = AgentSnapshot(
-                position=pos[1], goal=world.snapshots[i].goal, velocity=vel[1], acceleration=acc[1]
-            )
-            world.plans[i] = (pos, vel)
-        for obs in world.obstacles:
+            snapshots[i] = AgentSnapshot(position=pos[1], goal=snapshots[i].goal, velocity=vel[1], acceleration=acc[1])
+            plans[i] = pos
+        for obs in obstacles:
             obs.center = obs.center + obs.velocity * dt
-        world.round_index += 1
+        round_index += 1
 
     report = MissionReport(
         success=success,
         timeout=timeout,
-        mission_time=world.elapsed,
-        rounds=world.round_index,
+        mission_time=round_index * dt,
+        rounds=round_index,
         collision_events=collision_events,
         min_inter_agent=min_inter,
         min_obstacle=min_obstacle,
@@ -317,7 +300,7 @@ def replay_outcome(trajectory: dict) -> dict:
             np.linalg.norm(positions[i] - goals[i]) <= tol_pos and np.linalg.norm(velocities[i]) <= tol_vel
             for i in range(len(goals))
         )
-        if r == final_round and at_goal and not collision_rounds and r * dt <= trajectory["time_limit"]:
+        if r == final_round and at_goal and not collision_rounds and r * dt <= trajectory["time_limit"] + CLOCK_TOL:
             success = True
     return {
         "success": success,

@@ -64,7 +64,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.maxiter < 1:
             raise ValueError(f"maxiter must be >= 1, got {self.maxiter}")
-        if self.threshold <= 0:
+        if not self.threshold > 0:  # also rejects nan
             raise ValueError(f"threshold must be positive, got {self.threshold}")
 
 

@@ -63,6 +63,21 @@ def test_standard_mode_rejects_gamma_below_one(scenario_file, tmp_path, capsys):
     assert main(["antipodal", "--agents", "2", "--gamma", "0.9", "--mode", "bf", "--out", str(tmp_path / "bf.json")]) == 0
 
 
+@pytest.mark.parametrize("flag", [["--maxiter", "0"], ["--threshold", "-1"], ["--threshold", "nan"]])
+def test_bad_solver_flags_are_usage_errors(flag, scenario_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    for argv in (
+        ["run", str(scenario_file)],
+        ["antipodal", "--agents", "2"],
+        ["sweep", "--sizes", "2", "--seeds", "0:1", "--out", str(out)],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv + flag)
+        assert info.value.code == 1, argv
+        assert flag[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_unparsable_gamma(tmp_path, capsys):
     out = tmp_path / "sweep"
     with pytest.raises(SystemExit) as info:

@@ -27,7 +27,7 @@ def hover_plan(x, y, z, K=30):
 
 def test_detect_conflicts_far_neighbors_excluded(default_config):
     own = hover_plan(0.0, 0.0, 1.0)
-    neighbors = {1: hover_plan(1.0, 0.0, 1.0)}
+    neighbors = np.stack([hover_plan(1.0, 0.0, 1.0)])
     assert detect_conflicts(own, neighbors, [], default_config) == []
 
 
@@ -35,29 +35,47 @@ def test_detect_conflicts_coincident_step_included(default_config):
     own = hover_plan(0.0, 0.0, 1.0)
     other = hover_plan(1.0, 0.0, 1.0)
     other[5] = [0.0, 0.0, 1.0]
-    targets = detect_conflicts(own, {1: other}, [], default_config)
+    targets = detect_conflicts(own, np.stack([other]), [], default_config)
     assert len(targets) == 1
     assert targets[0].kind == "neighbor"
     assert targets[0].shape == default_config.theta_agent
 
 
 def test_detect_conflicts_matches_per_step_oracle(default_config):
+    """Several neighbours and obstacles per call: the targets are exactly the
+    tracks a per-step scan finds inside, neighbours in stacking order, then
+    obstacles in list order, each with its own kind, shape and centres."""
     rng = np.random.default_rng(11)
     cfg = default_config
+    lo, hi = [-1, -1, 0.3], [1, 1, 1.7]
     for _ in range(50):
-        own = rng.uniform([-1, -1, 0.3], [1, 1, 1.7], size=(cfg.K, 3))
-        neighbor = rng.uniform([-1, -1, 0.3], [1, 1, 1.7], size=(cfg.K, 3))
-        obs_shape = EllipsoidShape(*rng.uniform(0.1, 0.6, 3))
-        obs_track = rng.uniform([-1, -1, 0.3], [1, 1, 1.7], size=(cfg.K, 3))
-        targets = detect_conflicts(own, {0: neighbor}, [(obs_shape, obs_track)], cfg)
-        kinds = [t.kind for t in targets]
+        own = rng.uniform(lo, hi, size=(cfg.K, 3))
+        neighbors = rng.uniform(lo, hi, size=(rng.integers(0, 5), cfg.K, 3))
+        obstacles = [
+            (EllipsoidShape(*rng.uniform(0.1, 0.6, 3)), rng.uniform(lo, hi, size=(cfg.K, 3)))
+            for _ in range(rng.integers(0, 5))
+        ]
+        targets = detect_conflicts(own, neighbors, obstacles, cfg)
 
         def inside(centers, shape):
             inflated = shape.as_array + cfg.theta_padding.as_array
             return any(np.sum(((own[k] - centers[k]) / inflated) ** 2) <= 1.0 for k in range(cfg.K))
 
-        assert ("neighbor" in kinds) == inside(neighbor, cfg.theta_agent)
-        assert ("obstacle" in kinds) == inside(obs_track, obs_shape)
+        expected = [("neighbor", cfg.theta_agent, c) for c in neighbors if inside(c, cfg.theta_agent)]
+        expected += [("obstacle", shape, c) for shape, c in obstacles if inside(c, shape)]
+        assert [(t.kind, t.shape) for t in targets] == [(kind, shape) for kind, shape, _ in expected]
+        for target, (_, _, centers) in zip(targets, expected):
+            np.testing.assert_array_equal(target.predicted_centers, centers)
+
+
+def test_detect_conflicts_rejects_tracks_without_k_rows(default_config):
+    own = hover_plan(0.0, 0.0, 1.0)
+    short = hover_plan(0.0, 0.0, 1.0, K=default_config.K - 1)
+    shape = EllipsoidShape(0.3, 0.3, 0.3)
+    with pytest.raises(ValueError, match="must have 30 rows"):
+        detect_conflicts(own, np.stack([short]), [], default_config)
+    with pytest.raises(ValueError, match="must have 30 rows"):
+        detect_conflicts(own, np.empty((0, 30, 3)), [(shape, own), (shape, short)], default_config)
 
 
 def test_assemble_shapes_with_three_targets(basis30, default_config):

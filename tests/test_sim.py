@@ -149,6 +149,18 @@ def test_replay_outcome_matches_report():
         assert replay["min_obstacle"] == report.min_obstacle
 
 
+def test_success_needs_the_goal_within_the_time_limit():
+    """The agent reaches its goal at round 34, when the clock reads
+    34 * 0.1 = 3.4000000000000004 s: past a 3.35 s limit, inside a 3.4 s one.
+    The report and the replay of its dump agree in both cases."""
+    scenario = Scenario(seed=0, agents=[(np.array([0.0, 0, 1.0]), np.array([0.5, 0, 1.0]))], workspace=WS)
+    for time_limit, inside in ((3.35, False), (3.4, True)):
+        report = run_mission(scenario, time_limit=time_limit, record_trajectory=True)
+        assert report.rounds == 34
+        assert report.success == inside and report.timeout == (not inside)
+        assert replay_outcome(report.trajectory)["success"] == inside
+
+
 def test_report_serialization_excludes_timing_in_canonical_bytes():
     scenario = Scenario(seed=0, agents=[(np.array([0.0, 0, 1.0]), np.array([0.5, 0, 1.0]))], workspace=WS)
     report = run_mission(scenario)
