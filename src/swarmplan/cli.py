@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .scenario import Scenario, ScenarioError, antipodal, generate_random, load_scenario
-from .sim import MISSION_TIME_LIMIT, MODES, default_planning_config, run_mission
+from .sim import MISSION_TIME_LIMIT, MODES, check_time_limit, default_planning_config, run_mission
 from .solver import SolverConfig
 
 CSV_COLUMNS = [
@@ -55,10 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(maxiter=args.maxiter, threshold=args.threshold)
-
-
 def _mission_row(size: int, seed: int, gamma: float, mode: str, report) -> dict:
     compute = [t for per_agent in report.per_agent_compute_us for t in per_agent]
     inter = [m for m in report.min_inter_agent if m is not None]
@@ -81,8 +77,8 @@ def _mission_row(size: int, seed: int, gamma: float, mode: str, report) -> dict:
     }
 
 
-def _write_report(report, path, include_timing: bool = True) -> None:
-    Path(path).write_text(json.dumps(report.to_record(include_timing), sort_keys=True, indent=1), encoding="utf-8")
+def _write_report(report, path) -> None:
+    Path(path).write_text(json.dumps(report.to_record(), sort_keys=True, indent=1), encoding="utf-8")
 
 
 def _write_dump(report, path) -> None:
@@ -96,7 +92,7 @@ def _run_and_write(scenario: Scenario, args, time_limit: float = MISSION_TIME_LI
     report = run_mission(
         scenario,
         default_planning_config(scenario, args.gamma),
-        _solver_config(args),
+        SolverConfig(maxiter=args.maxiter, threshold=args.threshold),
         mode=args.mode,
         time_limit=time_limit,
         record_trajectory=args.dump is not None,
@@ -182,8 +178,8 @@ def _parse_seeds(text: str) -> list[int]:
 
 def _parse_workspace(text: str) -> tuple[np.ndarray, np.ndarray]:
     dims = [float(d) for d in text.lower().split("x")]
-    if len(dims) != 3 or min(dims) <= 0:
-        raise ValueError(f"workspace must be WxDxH with positive dims, got {text!r}")
+    if len(dims) != 3 or not all(0 < d < np.inf for d in dims):
+        raise ValueError(f"workspace must be WxDxH with positive, finite dims, got {text!r}")
     w, d, h = dims
     return np.array([-w / 2, -d / 2, 0.0]), np.array([w / 2, d / 2, h])
 
@@ -193,8 +189,10 @@ def cmd_sweep(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s]
         seeds = _parse_seeds(args.seeds)
         ws_lo, ws_hi = _parse_workspace(args.workspace)
-        if not sizes:
-            raise ValueError("sizes list must be non-empty")
+        if not sizes or min(sizes) < 1:
+            raise ValueError(f"sizes must be a non-empty list of positive integers, got {args.sizes!r}")
+        if args.obstacles < 0:
+            raise ValueError(f"obstacle count must be non-negative, got {args.obstacles}")
     except ValueError as exc:
         print(f"invalid sweep spec: {exc}", file=sys.stderr)
         return 1
@@ -284,13 +282,13 @@ def _gamma_list(text: str) -> list[float]:
     return gammas
 
 
-def _solver_flag(name: str, convert):
-    """Argparse type for a ``SolverConfig`` field: a value it rejects is a usage error."""
+def _checked(convert, check):
+    """Argparse type: a value that ``convert`` or ``check`` rejects with ``ValueError`` is a usage error."""
 
     def parse(text: str):
         try:
             value = convert(text)
-            SolverConfig(**{name: value})
+            check(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
@@ -299,10 +297,11 @@ def _solver_flag(name: str, convert):
 
 
 def _add_common_solver_flags(parser):
+    """``--mode``, ``--maxiter`` and ``--threshold``; each subcommand adds its own ``--gamma``."""
     parser.add_argument("--mode", choices=MODES, default="standard")
-    parser.add_argument("--gamma", type=float, default=1.0, help="barrier constant in [0, 1]")
-    parser.add_argument("--maxiter", type=_solver_flag("maxiter", int), default=SolverConfig.maxiter)
-    parser.add_argument("--threshold", type=_solver_flag("threshold", float), default=SolverConfig.threshold)
+    parser.add_argument("--maxiter", type=_checked(int, lambda v: SolverConfig(maxiter=v)), default=SolverConfig.maxiter)
+    threshold = _checked(float, lambda v: SolverConfig(threshold=v))
+    parser.add_argument("--threshold", type=threshold, default=SolverConfig.threshold)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", help="scenario YAML path")
     p_run.add_argument("--out", help="write the mission report JSON here")
     p_run.add_argument("--dump", help="write a per-round trajectory dump JSON here")
-    p_run.add_argument("--time-limit", type=float, default=MISSION_TIME_LIMIT)
+    p_run.add_argument("--time-limit", type=_checked(float, check_time_limit), default=MISSION_TIME_LIMIT)
+    p_run.add_argument("--gamma", type=float, default=1.0, help="barrier constant in [0, 1]")
     _add_common_solver_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -321,14 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sizes", required=True, help="comma-separated swarm sizes, e.g. 10,20")
     p_sweep.add_argument("--seeds", required=True, help="seed range lo:hi or comma list")
     p_sweep.add_argument("--gamma", type=_gamma_list, default=[1.0], help="comma-separated gamma values")
-    p_sweep.add_argument("--mode", choices=MODES, default="standard")
     p_sweep.add_argument("--obstacles", type=int, default=16)
     p_sweep.add_argument("--workspace", default="4x4x2", help="workspace dims WxDxH in meters")
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel trial processes")
     p_sweep.add_argument("--dump", action="store_true", help="also write per-trial trajectory dumps")
-    p_sweep.add_argument("--maxiter", type=_solver_flag("maxiter", int), default=SolverConfig.maxiter)
-    p_sweep.add_argument("--threshold", type=_solver_flag("threshold", float), default=SolverConfig.threshold)
+    _add_common_solver_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_anti = sub.add_parser("antipodal", help="run a circle position-exchange mission")
@@ -337,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_anti.add_argument("--height", type=float, default=1.0)
     p_anti.add_argument("--out")
     p_anti.add_argument("--dump")
+    p_anti.add_argument("--gamma", type=float, default=1.0, help="barrier constant in [0, 1]")
     _add_common_solver_flags(p_anti)
     p_anti.set_defaults(func=cmd_antipodal)
 

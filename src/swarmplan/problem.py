@@ -15,6 +15,7 @@ one block of K collision rows per target in target-list order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import null_space, pinv
@@ -27,40 +28,33 @@ GRAVITY = 9.81
 
 @dataclass(frozen=True)
 class PlanningConfig:
-    """Planner parameters; defaults are the benchmark values used throughout.
+    """Planner parameters: the barrier constant ``gamma`` and the box ``p_min``/``p_max``.
 
-    ``p_min``/``p_max`` bound the position samples; the simulator overrides
-    them with ``sim.default_planning_config``, the scenario volume inflated
-    by 0.05 m.
+    ``sim.default_planning_config`` sets the box to the scenario volume
+    inflated by 0.05 m.  The other values are constants read on any instance.
     """
 
-    K: int = 30
-    dt: float = 0.1
-    n: int = 10
-    w_goal: float = 7000.0
-    w_smooth: float = 100.0
-    kappa: int = 5
-    v_max: float = 1.73
-    f_min: float = 0.3 * GRAVITY
-    f_max: float = 1.5 * GRAVITY
-    theta_agent: EllipsoidShape = field(default_factory=lambda: EllipsoidShape(0.17, 0.17, 0.45))
-    theta_coll: EllipsoidShape = field(default_factory=lambda: EllipsoidShape(0.13, 0.13, 0.40))
-    theta_padding: EllipsoidShape = field(default_factory=lambda: EllipsoidShape(0.2, 0.2, 0.2))
+    K: ClassVar[int] = 30
+    dt: ClassVar[float] = 0.1
+    n: ClassVar[int] = 10
+    w_goal: ClassVar[float] = 7000.0
+    w_smooth: ClassVar[float] = 100.0
+    kappa: ClassVar[int] = 5
+    v_max: ClassVar[float] = 1.73
+    f_min: ClassVar[float] = 0.3 * GRAVITY
+    f_max: ClassVar[float] = 1.5 * GRAVITY
+    theta_agent: ClassVar[EllipsoidShape] = EllipsoidShape(0.17, 0.17, 0.45)
+    theta_coll: ClassVar[EllipsoidShape] = EllipsoidShape(0.13, 0.13, 0.40)
+    theta_padding: ClassVar[EllipsoidShape] = EllipsoidShape(0.2, 0.2, 0.2)
     gamma: float = 1.0
     p_min: tuple[float, float, float] = (-2.05, -2.05, -0.05)
     p_max: tuple[float, float, float] = (2.05, 2.05, 2.05)
 
     def __post_init__(self):
-        if not 1 <= self.kappa < self.K:
-            raise ValueError(f"kappa must satisfy 1 <= kappa < K, got kappa={self.kappa}, K={self.K}")
-        if self.f_min >= self.f_max:
-            raise ValueError(f"acceleration bounds require f_min < f_max, got {self.f_min} >= {self.f_max}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if np.any(np.asarray(self.p_min) >= np.asarray(self.p_max)):
             raise ValueError("workspace bounds require p_min < p_max componentwise")
-        if self.w_goal < 0 or self.w_smooth < 0:
-            raise ValueError(f"cost weights must be nonnegative, got w_goal={self.w_goal}, w_smooth={self.w_smooth}")
 
 
 @dataclass
@@ -105,7 +99,6 @@ def detect_conflicts(
     own_plan: np.ndarray,
     neighbor_plans: np.ndarray,
     obstacle_tracks: list[tuple[EllipsoidShape, np.ndarray]],
-    config: PlanningConfig,
 ) -> list[ConstraintTarget]:
     """Select the neighbours/obstacles whose padded envelopes the plan enters.
 
@@ -120,14 +113,15 @@ def detect_conflicts(
     own_plan = np.asarray(own_plan, dtype=float)
     K = own_plan.shape[0]
     n_neighbors = len(neighbor_plans)
-    shapes = [config.theta_agent] * n_neighbors + [shape for shape, _ in obstacle_tracks]
+    shapes = [PlanningConfig.theta_agent] * n_neighbors + [shape for shape, _ in obstacle_tracks]
     tracks = [*neighbor_plans, *(centers for _, centers in obstacle_tracks)]
     bad_rows = [len(centers) for centers in tracks if len(centers) != K]
     if bad_rows:
         raise ValueError(f"predicted centers must have {K} rows, got {bad_rows[0]}")
     centers = np.reshape(np.asarray(tracks, dtype=float), (-1, K, 3))
-    inflated = [config.theta_agent.inflate(config.theta_padding).as_array] * n_neighbors
-    inflated += [shape.inflate(config.theta_padding).as_array for shape, _ in obstacle_tracks]
+    padding = PlanningConfig.theta_padding
+    inflated = [PlanningConfig.theta_agent.inflate(padding).as_array] * n_neighbors
+    inflated += [shape.inflate(padding).as_array for shape, _ in obstacle_tracks]
     scaled = (own_plan - centers) / np.reshape(inflated, (-1, 1, 3))
     inside = np.any(np.sum(scaled**2, axis=-1) <= 1.0, axis=-1)
     return [
@@ -139,7 +133,9 @@ def detect_conflicts(
 class PlanningProblem:
     """Assembled per-round optimization data for one agent.
 
-    Immutable after assembly.
+    Immutable after assembly.  The horizon and degree are the ``basis``'s,
+    which needs ``K >= kappa`` for the goal cost; the cost weights and
+    kinematic bounds are :class:`PlanningConfig`'s constants.
     Matrix fields follow the convention ``min 0.5 z'Qz + q'z`` subject to
     ``A z = b(polar)``, ``G z <= h``, and ``C z = e``.
 
@@ -153,8 +149,8 @@ class PlanningProblem:
     """
 
     def __init__(self, config: PlanningConfig, snapshot: AgentSnapshot, targets: list[ConstraintTarget], basis: BasisSet):
-        if basis.K != config.K or basis.n != config.n or basis.dt != config.dt:
-            raise ValueError("basis does not match the planning configuration")
+        if basis.K < config.kappa:
+            raise ValueError(f"the goal cost needs K >= kappa = {config.kappa}, got a basis with K = {basis.K}")
         self.config = config
         self.snapshot = snapshot
         self.targets = list(targets)

@@ -24,11 +24,6 @@ from .problem import PlanningConfig
 CYLINDER_HALF_HEIGHT = 1e6
 MAX_REJECTION_ATTEMPTS = 100_000
 
-# The planner's default envelope shapes.
-_PLANNER = PlanningConfig()
-_AGENT_PLANNING_XY = _PLANNER.theta_agent.a
-_COLL_SHAPE = _PLANNER.theta_coll.as_array
-_PADDING = _PLANNER.theta_padding.as_array
 _SEPARATION_MARGIN = 0.1
 
 
@@ -82,7 +77,7 @@ def _inside_box(point: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
 
 
 def _separation_ok(p: np.ndarray, others: list[np.ndarray]) -> bool:
-    envelope = _COLL_SHAPE + _SEPARATION_MARGIN
+    envelope = PlanningConfig.theta_coll.as_array + _SEPARATION_MARGIN
     for other in others:
         if np.sum(((p - other) / envelope) ** 2) <= 1.0:
             return False
@@ -90,8 +85,9 @@ def _separation_ok(p: np.ndarray, others: list[np.ndarray]) -> bool:
 
 
 def _outside_obstacles(p: np.ndarray, obstacles: list[Obstacle]) -> bool:
+    padding = PlanningConfig.theta_padding.as_array
     for obs in obstacles:
-        inflated = obs.shape.as_array + _PADDING
+        inflated = obs.shape.as_array + padding
         if np.sum(((p - obs.center) / inflated) ** 2) <= 1.0:
             return False
     return True
@@ -139,7 +135,7 @@ def generate_random(seed: int, n_agents: int, n_obstacles: int, workspace=None) 
 
     obstacles: list[Obstacle] = []
     for _ in range(n_obstacles):
-        radius = rng.uniform(0.1, 0.2) + _AGENT_PLANNING_XY
+        radius = rng.uniform(0.1, 0.2) + PlanningConfig.theta_agent.a
         center_xy = rng.uniform(lo[:2], hi[:2])
         obstacles.append(
             Obstacle(

@@ -109,17 +109,17 @@ def separations(
 def check_collision(
     positions: np.ndarray,
     obstacles: list[tuple[np.ndarray, np.ndarray]],
-    theta_coll,
+    coll_axes: np.ndarray,
 ) -> list[tuple[str, str, float]]:
     """Declared-collision test on executed states.
 
+    ``coll_axes`` holds the agent declaration envelope's semi-axes and
     ``obstacles`` carries ``(center, semi_axes)`` pairs already expressed as
     the declaration envelope.  Returns one ``(label_a, label_b, metric)``
     entry per violating pair, with metric below 1 meaning the scaled
     separation is inside the envelope.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    coll_axes = theta_coll.as_array if hasattr(theta_coll, "as_array") else np.asarray(theta_coll, dtype=float)
     pair, obstacle = separations(positions, obstacles, coll_axes)
     i, j = np.triu_indices(positions.shape[0], 1)
     violations = [(f"agent{i[p]}", f"agent{j[p]}", float(pair[p])) for p in np.flatnonzero(pair < 1.0)]
@@ -128,18 +128,16 @@ def check_collision(
     return violations
 
 
-def check_goal_reached(snapshot: AgentSnapshot, goal, tol_pos: float = GOAL_TOL_POS, tol_vel: float = GOAL_TOL_VEL) -> bool:
-    """True once the agent is within ``tol_pos`` of the goal and slower than ``tol_vel`` (inclusive)."""
-    goal = np.asarray(goal, dtype=float)
-    return bool(
-        np.linalg.norm(snapshot.position - goal) <= tol_pos and np.linalg.norm(snapshot.velocity) <= tol_vel
-    )
+def check_goal_reached(snapshot: AgentSnapshot) -> bool:
+    """True once the agent is within ``GOAL_TOL_POS`` of its goal and slower than ``GOAL_TOL_VEL`` (inclusive)."""
+    at_goal = np.linalg.norm(snapshot.position - snapshot.goal) <= GOAL_TOL_POS
+    return bool(at_goal and np.linalg.norm(snapshot.velocity) <= GOAL_TOL_VEL)
 
 
-def declared_obstacle_axes(shape, config: PlanningConfig) -> np.ndarray:
+def declared_obstacle_axes(shape) -> np.ndarray:
     """Declaration envelope for an obstacle: its planning envelope deflated by
     the same margin agents enjoy between planning and declared shapes."""
-    margin = config.theta_agent.as_array - config.theta_coll.as_array
+    margin = PlanningConfig.theta_agent.as_array - PlanningConfig.theta_coll.as_array
     return np.maximum(shape.as_array - margin, 1e-6)
 
 
@@ -148,6 +146,12 @@ def default_planning_config(scenario: Scenario, gamma: float = 1.0) -> PlanningC
     by the scenario volume inflated by ``PLANNING_MARGIN`` on every side."""
     lo, hi = scenario.workspace
     return PlanningConfig(gamma=gamma, p_min=tuple(lo - PLANNING_MARGIN), p_max=tuple(hi + PLANNING_MARGIN))
+
+
+def check_time_limit(time_limit: float) -> None:
+    """Raise :class:`ValueError` unless ``time_limit`` is a finite, non-negative number of seconds."""
+    if not 0.0 <= time_limit < np.inf:
+        raise ValueError(f"time limit must be a finite, non-negative number of seconds, got {time_limit}")
 
 
 def run_mission(
@@ -167,8 +171,10 @@ def run_mission(
     The published plans are one ``n_agents x K x 3`` array of positions.  A
     round more than ``CLOCK_TOL`` past ``time_limit`` is a timeout, even with
     every agent at its goal.  Non-convergent solves execute their best
-    iterate and are only counted, never treated as mission failures.
+    iterate and are only counted, never treated as mission failures.  A
+    negative or non-finite ``time_limit`` raises :class:`ValueError`.
     """
+    check_time_limit(time_limit)
     if planning_config is None:
         planning_config = default_planning_config(scenario)
     if mode not in MODES:
@@ -184,7 +190,8 @@ def run_mission(
     snapshots = [AgentSnapshot(position=s.copy(), goal=g.copy()) for s, g in scenario.agents]
     plans = np.repeat([[s] for s, _ in scenario.agents], K, axis=1)  # every agent hovers at its start
     obstacles = [Obstacle(o.center.copy(), o.velocity.copy(), o.shape, o.kind) for o in scenario.obstacles]
-    declared_axes = [declared_obstacle_axes(o.shape, config) for o in obstacles]
+    declared_axes = [declared_obstacle_axes(o.shape) for o in obstacles]
+    coll_axes = config.theta_coll.as_array
 
     per_agent_compute: list[list[float]] = [[] for _ in range(n_agents)]
     min_inter: list[float | None] = []
@@ -200,7 +207,7 @@ def run_mission(
         velocities = np.array([snap.velocity for snap in snapshots])
 
         declared = [(o.center, ax) for o, ax in zip(obstacles, declared_axes)]
-        pair, obstacle = separations(positions, declared, config.theta_coll.as_array)
+        pair, obstacle = separations(positions, declared, coll_axes)
         min_inter.append(min(pair.tolist(), default=None))
         min_obstacle.append(min(obstacle.ravel().tolist(), default=None))
         if record_trajectory:
@@ -212,14 +219,14 @@ def run_mission(
                 }
             )
 
-        violations = check_collision(positions, declared, config.theta_coll)
+        violations = check_collision(positions, declared, coll_axes)
         if violations:
             collision_events.extend((round_index, a, b, m) for a, b, m in violations)
             break
         if round_index * dt > time_limit + CLOCK_TOL:
             timeout = True
             break
-        if all(check_goal_reached(s, s.goal) for s in snapshots):
+        if all(check_goal_reached(s) for s in snapshots):
             success = True
             break
 
@@ -231,7 +238,7 @@ def run_mission(
         for i in range(n_agents):
             neighbor_plans = np.delete(shifted, i, axis=0)
             t0 = time.perf_counter()
-            targets = detect_conflicts(shifted[i], neighbor_plans, obstacle_tracks, config)
+            targets = detect_conflicts(shifted[i], neighbor_plans, obstacle_tracks)
             problem = assemble(snapshots[i], targets, basis, config)
             zeta, diag = solve(problem, solver_config)
             per_agent_compute[i].append((time.perf_counter() - t0) * 1e6)
@@ -261,7 +268,7 @@ def run_mission(
             "goal_tol_pos": GOAL_TOL_POS,
             "goal_tol_vel": GOAL_TOL_VEL,
             "goals": [g.tolist() for _, g in scenario.agents],
-            "theta_coll": config.theta_coll.as_array.tolist(),
+            "theta_coll": coll_axes.tolist(),
             "obstacle_axes": [ax.tolist() for ax in declared_axes],
             "obstacle_velocities": [o.velocity.tolist() for o in scenario.obstacles],
             "rounds": trajectory_rounds,

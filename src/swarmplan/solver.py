@@ -126,9 +126,10 @@ def step_s1(problem: PlanningProblem, state: SolverState) -> np.ndarray:
     particular solution and null-space basis, so ``C z = e`` holds to machine
     precision.  ``C`` pins only coefficients 0-2 of each axis, so the reduced
     Hessian is congruent to the free block of ``Q + rho * gram``.  ``Q`` is
-    positive semidefinite for nonnegative cost weights and ``gram`` holds
-    the workspace rows' ``W'W``, positive definite once ``K >= n + 1``; the
-    configurations enforce the weights and the schedule keeps ``rho >= 1``.
+    positive semidefinite, its cost weights being :class:`PlanningConfig`'s
+    positive constants, and ``gram`` holds the workspace rows' ``W'W``,
+    positive definite once the basis has ``K >= n + 1``; the schedule keeps
+    ``rho >= 1``.
     A singular reduced system raises :class:`numpy.linalg.LinAlgError`.
     Refreshes ``state.factor`` when ``state.rho`` differs from its penalty.
     """

@@ -78,6 +78,28 @@ def test_bad_solver_flags_are_usage_errors(flag, scenario_file, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("limit", ["-1", "nan", "inf"])
+def test_run_rejects_bad_time_limit(limit, scenario_file, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as info:
+        main(["run", str(scenario_file), "--time-limit", limit, "--out", str(out)])
+    assert info.value.code == 1
+    assert "--time-limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec", [["--sizes", "0"], ["--workspace", "nanx4x2"], ["--workspace", "infx4x2"], ["--obstacles", "-3"]]
+)
+def test_bad_sweep_specs_are_usage_errors(spec, tmp_path, capsys):
+    """Each used to run: a zero size or a non-finite workspace failed every
+    trial (exit 2, empty trials.csv), and a negative obstacle count ran as 0."""
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--sizes", "2", "--seeds", "0:1", "--obstacles", "2", "--out", str(out), *spec]) == 1
+    assert "invalid sweep spec" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_unparsable_gamma(tmp_path, capsys):
     out = tmp_path / "sweep"
     with pytest.raises(SystemExit) as info:

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from swarmplan.bernstein import sample_trajectory
+from swarmplan.bernstein import build_basis, sample_trajectory
 from swarmplan.polar import EllipsoidShape, PolarVars, omega
 from swarmplan.problem import (
     GRAVITY,
@@ -25,17 +27,17 @@ def hover_plan(x, y, z, K=30):
     return np.tile([x, y, z], (K, 1))
 
 
-def test_detect_conflicts_far_neighbors_excluded(default_config):
+def test_detect_conflicts_far_neighbors_excluded():
     own = hover_plan(0.0, 0.0, 1.0)
     neighbors = np.stack([hover_plan(1.0, 0.0, 1.0)])
-    assert detect_conflicts(own, neighbors, [], default_config) == []
+    assert detect_conflicts(own, neighbors, []) == []
 
 
 def test_detect_conflicts_coincident_step_included(default_config):
     own = hover_plan(0.0, 0.0, 1.0)
     other = hover_plan(1.0, 0.0, 1.0)
     other[5] = [0.0, 0.0, 1.0]
-    targets = detect_conflicts(own, np.stack([other]), [], default_config)
+    targets = detect_conflicts(own, np.stack([other]), [])
     assert len(targets) == 1
     assert targets[0].kind == "neighbor"
     assert targets[0].shape == default_config.theta_agent
@@ -55,7 +57,7 @@ def test_detect_conflicts_matches_per_step_oracle(default_config):
             (EllipsoidShape(*rng.uniform(0.1, 0.6, 3)), rng.uniform(lo, hi, size=(cfg.K, 3)))
             for _ in range(rng.integers(0, 5))
         ]
-        targets = detect_conflicts(own, neighbors, obstacles, cfg)
+        targets = detect_conflicts(own, neighbors, obstacles)
 
         def inside(centers, shape):
             inflated = shape.as_array + cfg.theta_padding.as_array
@@ -73,9 +75,9 @@ def test_detect_conflicts_rejects_tracks_without_k_rows(default_config):
     short = hover_plan(0.0, 0.0, 1.0, K=default_config.K - 1)
     shape = EllipsoidShape(0.3, 0.3, 0.3)
     with pytest.raises(ValueError, match="must have 30 rows"):
-        detect_conflicts(own, np.stack([short]), [], default_config)
+        detect_conflicts(own, np.stack([short]), [])
     with pytest.raises(ValueError, match="must have 30 rows"):
-        detect_conflicts(own, np.empty((0, 30, 3)), [(shape, own), (shape, short)], default_config)
+        detect_conflicts(own, np.empty((0, 30, 3)), [(shape, own), (shape, short)])
 
 
 def test_assemble_shapes_with_three_targets(basis30, default_config):
@@ -218,20 +220,40 @@ def test_initial_condition_rows(basis30, default_config):
 
 def test_planning_config_validation():
     with pytest.raises(ValueError):
-        PlanningConfig(kappa=30)
-    with pytest.raises(ValueError):
-        PlanningConfig(f_min=20.0)
-    with pytest.raises(ValueError):
         PlanningConfig(gamma=1.2)
+    with pytest.raises(ValueError):
+        PlanningConfig(p_min=(0, 0, 0), p_max=(1, 0, 1))
 
 
-def test_planning_config_rejects_negative_cost_weights():
-    """Negative weights would make the quadratic cost indefinite."""
-    with pytest.raises(ValueError):
-        PlanningConfig(w_goal=-1.0)
-    with pytest.raises(ValueError):
-        PlanningConfig(w_smooth=-1.0)
-    PlanningConfig(w_goal=0.0, w_smooth=0.0)
+def test_planning_config_sets_only_gamma_and_box():
+    """gamma and the workspace box are the settable values; every other planner
+    value is a constant that reads on an instance with the benchmark's value."""
+    assert [f.name for f in dataclasses.fields(PlanningConfig)] == ["gamma", "p_min", "p_max"]
+    config = PlanningConfig(gamma=0.9, p_min=(-1, -1, 0), p_max=(1, 1, 1))
+    constants = {
+        "K": 30,
+        "dt": 0.1,
+        "n": 10,
+        "w_goal": 7000.0,
+        "w_smooth": 100.0,
+        "kappa": 5,
+        "v_max": 1.73,
+        "f_min": 0.3 * GRAVITY,
+        "f_max": 1.5 * GRAVITY,
+        "theta_agent": EllipsoidShape(0.17, 0.17, 0.45),
+        "theta_coll": EllipsoidShape(0.13, 0.13, 0.40),
+        "theta_padding": EllipsoidShape(0.2, 0.2, 0.2),
+    }
+    for name, value in constants.items():
+        assert getattr(config, name) == value and type(getattr(config, name)) is type(value), name
+
+
+def test_assemble_rejects_basis_shorter_than_goal_window(default_config):
+    """The goal cost pulls the last kappa = 5 samples, so a 4-step basis is an error."""
+    snapshot = AgentSnapshot(position=np.zeros(3), goal=np.ones(3))
+    with pytest.raises(ValueError, match="K >= kappa"):
+        assemble(snapshot, [], build_basis(4, 3, 0.1), default_config)
+    assert assemble(snapshot, [], build_basis(5, 3, 0.1), default_config).K == 5
 
 
 def test_constraint_target_validation():

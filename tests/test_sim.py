@@ -47,6 +47,17 @@ def test_run_mission_rejects_bad_mode_before_round_zero():
     assert run_mission(scenario, PlanningConfig(gamma=0.9), mode="bf").success
 
 
+@pytest.mark.parametrize("time_limit", [-1.0, float("nan"), float("inf")])
+def test_run_mission_rejects_bad_time_limit_before_round_zero(time_limit):
+    """A negative limit used to end the mission at round 0 as a timeout, and a
+    NaN one disabled the clock; both, and an infinite one, are errors even for
+    a mission that is over at round 0.  A zero limit is a valid clock."""
+    scenario = Scenario(seed=0, agents=[(np.array([0.3, 0.2, 1.0]), np.array([0.3, 0.2, 1.0]))], workspace=WS)
+    with pytest.raises(ValueError, match="time limit"):
+        run_mission(scenario, time_limit=time_limit)
+    assert run_mission(scenario, time_limit=0.0).success
+
+
 def test_mission_with_coincident_agents_declares_collision_at_round_zero():
     scenario = two_agent_scenario([0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0, 1], [-1.0, 0, 1])
     report = run_mission(scenario)
@@ -65,9 +76,9 @@ def test_two_agent_antipodal_exchange_succeeds_cleanly():
 
 def test_check_collision_threshold_cases():
     positions = np.array([[0.0, 0, 1.0], [0.14, 0, 1.0]])
-    assert check_collision(positions, [], COLL) == []
+    assert check_collision(positions, [], COLL.as_array) == []
     positions[1, 0] = 0.10
-    violations = check_collision(positions, [], COLL)
+    violations = check_collision(positions, [], COLL.as_array)
     assert len(violations) == 1 and violations[0][:2] == ("agent0", "agent1")
 
 
@@ -78,25 +89,24 @@ def test_check_collision_matches_brute_force():
         obstacles = [
             (rng.uniform([-0.5, -0.5, 0.5], [0.5, 0.5, 1.5]), rng.uniform(0.1, 0.5, 3)) for _ in range(3)
         ]
-        got = {v[:2] for v in check_collision(positions, obstacles, COLL)}
+        got = {v[:2] for v in check_collision(positions, obstacles, COLL.as_array)}
         expected = set(brute_force_collisions(positions, obstacles, COLL.as_array))
         assert got == expected
 
 
 def test_goal_check_boundary_is_inclusive():
     at_goal = AgentSnapshot(position=np.array([0.1, 0.0, 1.0]), goal=np.array([0.0, 0.0, 1.0]))
-    assert check_goal_reached(at_goal, at_goal.goal, tol_pos=0.1, tol_vel=0.2)
+    assert check_goal_reached(at_goal)
     away = AgentSnapshot(position=np.array([0.5, 0.0, 1.0]), goal=np.array([0.0, 0.0, 1.0]))
-    assert not check_goal_reached(away, away.goal)
+    assert not check_goal_reached(away)
     fast = AgentSnapshot(
         position=np.array([0.0, 0.0, 1.0]), goal=np.array([0.0, 0.0, 1.0]), velocity=np.array([0.5, 0, 0])
     )
-    assert not check_goal_reached(fast, fast.goal)
+    assert not check_goal_reached(fast)
 
 
 def test_declared_obstacle_axes_deflate_by_agent_margin():
-    config = PlanningConfig()
-    axes = declared_obstacle_axes(EllipsoidShape(0.3, 0.3, 1e6), config)
+    axes = declared_obstacle_axes(EllipsoidShape(0.3, 0.3, 1e6))
     np.testing.assert_allclose(axes[:2], 0.26)
     assert axes[2] > 1e5
 

@@ -27,9 +27,9 @@ from oracles import dense_kkt_qp, ternary_search_magnitude
 
 
 def small_problem(seed=0, with_target=True):
-    """n=3, K=5 instance for dense-oracle comparisons."""
+    """n=3, K=5 instance for dense-oracle comparisons; the goal cost pulls all K = kappa = 5 samples."""
     rng = np.random.default_rng(seed)
-    config = PlanningConfig(K=5, n=3, kappa=2, p_min=(-3, -3, -1), p_max=(3, 3, 3))
+    config = PlanningConfig(p_min=(-3, -3, -1), p_max=(3, 3, 3))
     basis = build_basis(5, 3, 0.1)
     snapshot = AgentSnapshot(
         position=rng.uniform(-1, 1, 3), goal=rng.uniform(-1, 1, 3), velocity=rng.uniform(-0.5, 0.5, 3)
