@@ -9,7 +9,7 @@ derivative matrices are exact analytic derivatives of the basis functions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,11 @@ class BasisSet:
 
     ``W`` rows form a partition of unity with entries in [0, 1]; the rows of
     the derivative matrices ``W1`` (1/s) and ``W2`` (1/s^2) sum to zero.
-    Instances are immutable and safe to share across agent solvers.
+    Instances are safe to share across agent solvers.  The matrices are
+    fixed; ``problem_table`` starts empty and holds, by conflict count M, the
+    problem structure every agent planning on this basis shares (see
+    :func:`swarmplan.problem.shared_structure`), so it lives as long as the
+    basis.
     """
 
     K: int
@@ -29,6 +33,7 @@ class BasisSet:
     W: np.ndarray
     W1: np.ndarray
     W2: np.ndarray
+    problem_table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def duration(self) -> float:

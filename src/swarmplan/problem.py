@@ -10,6 +10,11 @@ variables (see :mod:`swarmplan.solver`).
 Row layout (fixed, relied on by tests and the solver): for each axis x, y, z
 in that order the blocks are velocity rows (K), acceleration rows (K), then
 one block of K collision rows per target in target-list order.
+
+Only the right-hand sides, bounds and centers depend on the agent.  The
+matrices depend on the basis and the number M of targets alone, so every
+problem with the same basis and M shares one read-only
+:class:`SharedStructure`, built on first use (:func:`shared_structure`).
 """
 
 from __future__ import annotations
@@ -130,6 +135,91 @@ def detect_conflicts(
     ]
 
 
+@dataclass(frozen=True, eq=False)
+class SharedStructure:
+    """The matrices of a problem that its basis and conflict count ``M`` fix.
+
+    ``Q``, ``G``/``GT``, ``C``, the orthonormal null-space basis of ``C`` and
+    ``pinv(C)`` do not depend on ``M`` and are the same arrays for every
+    ``M``; ``AT`` and ``gram = A'A + G'G`` are built per ``M``.  ``A``
+    itself is not kept: it is ``AT.T``.  Every array is read-only, since
+    every agent and round on the basis reads it.  ``factors`` maps a penalty
+    ``rho`` to the Cholesky factor of the reduced S1 system
+    ``Z'(Q + rho * gram)Z`` of these same matrices; S1 fills it on first use.
+    """
+
+    M: int
+    Q: np.ndarray
+    G: np.ndarray
+    GT: np.ndarray
+    C: np.ndarray
+    null_basis: np.ndarray
+    null_basis_T: np.ndarray
+    C_pinv: np.ndarray
+    AT: np.ndarray
+    gram: np.ndarray
+    factors: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    @property
+    def A(self) -> np.ndarray:
+        return self.AT.T
+
+
+_M_INDEPENDENT = ("Q", "G", "GT", "C", "null_basis", "null_basis_T", "C_pinv")
+
+
+def _m_independent(basis: BasisSet) -> dict:
+    """The arrays of :class:`SharedStructure` that every ``M`` shares."""
+    W, eye3 = basis.W, np.eye(3)
+    # Cost: w_goal over the last kappa samples plus w_smooth on acceleration,
+    # absorbed into the 0.5 z'Qz + q'z convention (factor 2 inside Q/q).
+    Wk = W[basis.K - PlanningConfig.kappa :, :]
+    Q_axis = 2.0 * (PlanningConfig.w_goal * Wk.T @ Wk + PlanningConfig.w_smooth * basis.W2.T @ basis.W2)
+    Q_axis = 0.5 * (Q_axis + Q_axis.T)  # exact symmetry despite GEMM rounding
+    # Workspace bounds: upper rows then lower rows, axis-major inside each.
+    B3 = np.kron(eye3, W)
+    G = np.vstack([B3, -B3])
+    # Initial conditions: position, velocity, acceleration at step 0, per axis;
+    # eliminated exactly by a particular solution plus an orthonormal null-space basis.
+    C = np.kron(eye3, np.vstack([W[0], basis.W1[0], basis.W2[0]]))
+    null_basis = null_space(C)
+    return {
+        "Q": np.kron(eye3, Q_axis),
+        "G": G,
+        "GT": np.ascontiguousarray(G.T),
+        "C": C,
+        "null_basis": null_basis,
+        "null_basis_T": np.ascontiguousarray(null_basis.T),
+        "C_pinv": pinv(C),
+    }
+
+
+def shared_structure(basis: BasisSet, M: int) -> SharedStructure:
+    """The structure of every problem with ``M`` targets on ``basis``, built on first use.
+
+    It is kept in ``basis.problem_table``; the ``M``-independent arrays are
+    built with the first entry and reused by the others.
+    """
+    table = basis.problem_table
+    if M not in table:
+        first = next(iter(table.values()), None)
+        common = _m_independent(basis) if first is None else {name: getattr(first, name) for name in _M_INDEPENDENT}
+        # Stacked constraint matrix: velocity, acceleration, collision blocks per axis.
+        A = np.kron(np.eye(3), np.vstack([basis.W1, basis.W2, np.tile(basis.W, (M, 1))]))
+        AT = np.ascontiguousarray(A.T)
+        table[M] = SharedStructure(M=M, AT=AT, gram=AT @ A + common["GT"] @ common["G"], **common)
+    return table[M]
+
+
+def _shared(name: str) -> property:
+    return property(lambda problem: getattr(problem.shared, name), doc=f"``shared.{name}``, read-only.")
+
+
 class PlanningProblem:
     """Assembled per-round optimization data for one agent.
 
@@ -146,7 +236,23 @@ class PlanningProblem:
     thrust band widened to include ``|a0 + g|``, and collision lower bound
     ``min(1, anchor)``, where ``anchors`` holds the measured scaled distance
     to each target's step-0 center.
+
+    The matrices ``Q``, ``A``/``AT``, ``G``/``GT``, ``C``, ``gram`` and the
+    null basis are read-only views of ``shared``, the
+    :class:`SharedStructure` of the basis and ``M``; the agent's own data is
+    ``q``, ``h``, ``e``, the row metadata and ``zeta_particular``, the
+    particular solution ``pinv(C) @ e`` of ``C z = e``.
     """
+
+    Q = _shared("Q")
+    A = _shared("A")
+    AT = _shared("AT")
+    G = _shared("G")
+    GT = _shared("GT")
+    C = _shared("C")
+    gram = _shared("gram")
+    null_basis = _shared("null_basis")
+    null_basis_T = _shared("null_basis_T")
 
     def __init__(self, config: PlanningConfig, snapshot: AgentSnapshot, targets: list[ConstraintTarget], basis: BasisSet):
         if basis.K < config.kappa:
@@ -162,31 +268,12 @@ class PlanningProblem:
         self.n_coeffs = 3 * (n + 1)
         self.n_rows = K * (2 + M)  # constraint rows per axis
 
-        W, W1, W2 = basis.W, basis.W1, basis.W2
-        eye3 = np.eye(3)
-
-        # Cost: w_goal over the last kappa samples plus w_smooth on acceleration,
-        # absorbed into the 0.5 z'Qz + q'z convention (factor 2 inside Q/q).
-        Wk = W[K - config.kappa :, :]
-        Q_axis = 2.0 * (config.w_goal * Wk.T @ Wk + config.w_smooth * W2.T @ W2)
-        Q_axis = 0.5 * (Q_axis + Q_axis.T)  # exact symmetry despite GEMM rounding
-        self.Q = np.kron(eye3, Q_axis)
+        self.shared = shared_structure(basis, M)
+        Wk = basis.W[K - config.kappa :, :]
         self.q = np.concatenate([-2.0 * config.w_goal * (Wk.T @ np.full(config.kappa, g)) for g in snapshot.goal])
-
-        # Stacked constraint matrix: velocity, acceleration, collision blocks per axis.
-        A_axis = np.vstack([W1, W2, np.tile(W, (M, 1))])
-        self.A = np.kron(eye3, A_axis)
-
-        # Workspace bounds: upper rows then lower rows, axis-major inside each.
-        B3 = np.kron(eye3, W)
-        self.G = np.vstack([B3, -B3])
         p_min = np.asarray(config.p_min, dtype=float)
         p_max = np.asarray(config.p_max, dtype=float)
         self.h = np.concatenate([np.repeat(p_max, K), np.repeat(-p_min, K)])
-
-        # Initial conditions: position, velocity, acceleration at step 0, per axis.
-        C_axis = np.vstack([W[0], W1[0], W2[0]])
-        self.C = np.kron(eye3, C_axis)
         self.e = np.column_stack([snapshot.position, snapshot.velocity, snapshot.acceleration]).ravel()
 
         # Constraint-row metadata shared by the solver steps: the center each row
@@ -223,15 +310,7 @@ class PlanningProblem:
         self.col_rows = slice(2 * K, self.n_rows)
         self.anchors = anchors
 
-        # Solver precomputation: transposes for the multiplier updates, the
-        # rho-independent Gram matrix, and an exact elimination of C z = e
-        # (particular solution plus orthonormal null-space basis).
-        self.AT = np.ascontiguousarray(self.A.T)
-        self.GT = np.ascontiguousarray(self.G.T)
-        self.gram = self.AT @ self.A + self.GT @ self.G
-        self.null_basis = null_space(self.C)
-        self.null_basis_T = np.ascontiguousarray(self.null_basis.T)
-        self.zeta_particular = pinv(self.C) @ self.e
+        self.zeta_particular = self.shared.C_pinv @ self.e
         if not np.allclose(self.C @ self.zeta_particular, self.e, atol=1e-9):
             raise ValueError("initial conditions are inconsistent with the basis degree")
 

@@ -121,11 +121,14 @@ def generate_random(seed: int, n_agents: int, n_obstacles: int, workspace=None) 
 
     Obstacles are vertical cylinders with physical radius drawn uniformly
     from [0.1, 0.2] m; their stored envelope adds the agent's horizontal
-    planning radius.  Raises :class:`ScenarioError` when placement fails
-    after the attempt cap (overcrowded scenario).
+    planning radius.  Raises :class:`ScenarioError` for fewer than one agent
+    or a negative obstacle count, and when placement fails after the attempt
+    cap (overcrowded scenario).
     """
     if n_agents < 1:
         raise ScenarioError(f"need at least one agent, got {n_agents}")
+    if n_obstacles < 0:
+        raise ScenarioError(f"the obstacle count cannot be negative, got {n_obstacles}")
     if workspace is None:
         workspace = (np.array([-2.0, -2.0, 0.0]), np.array([2.0, 2.0, 2.0]))
     lo = np.asarray(workspace[0], dtype=float)

@@ -110,17 +110,20 @@ def check_collision(
     positions: np.ndarray,
     obstacles: list[tuple[np.ndarray, np.ndarray]],
     coll_axes: np.ndarray,
+    separated: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[tuple[str, str, float]]:
     """Declared-collision test on executed states.
 
     ``coll_axes`` holds the agent declaration envelope's semi-axes and
     ``obstacles`` carries ``(center, semi_axes)`` pairs already expressed as
-    the declaration envelope.  Returns one ``(label_a, label_b, metric)``
-    entry per violating pair, with metric below 1 meaning the scaled
-    separation is inside the envelope.
+    the declaration envelope.  ``separated`` is :func:`separations` of these
+    arguments, for a caller that has it already; it is computed when
+    omitted.  Returns one ``(label_a, label_b, metric)`` entry per violating
+    pair, with metric below 1 meaning the scaled separation is inside the
+    envelope.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    pair, obstacle = separations(positions, obstacles, coll_axes)
+    pair, obstacle = separations(positions, obstacles, coll_axes) if separated is None else separated
     i, j = np.triu_indices(positions.shape[0], 1)
     violations = [(f"agent{i[p]}", f"agent{j[p]}", float(pair[p])) for p in np.flatnonzero(pair < 1.0)]
     for k, a in zip(*np.nonzero(obstacle < 1.0)):
@@ -207,7 +210,7 @@ def run_mission(
         velocities = np.array([snap.velocity for snap in snapshots])
 
         declared = [(o.center, ax) for o, ax in zip(obstacles, declared_axes)]
-        pair, obstacle = separations(positions, declared, coll_axes)
+        separated = pair, obstacle = separations(positions, declared, coll_axes)
         min_inter.append(min(pair.tolist(), default=None))
         min_obstacle.append(min(obstacle.ravel().tolist(), default=None))
         if record_trajectory:
@@ -219,7 +222,7 @@ def run_mission(
                 }
             )
 
-        violations = check_collision(positions, declared, coll_axes)
+        violations = check_collision(positions, declared, coll_axes, separated)
         if violations:
             collision_events.extend((round_index, a, b, m) for a, b, m in violations)
             break
@@ -298,10 +301,10 @@ def replay_outcome(trajectory: dict) -> dict:
         positions = np.asarray(row["positions"])
         velocities = np.asarray(row["velocities"])
         obstacles = list(zip(row["obstacle_centers"], obstacle_axes))
-        pair, obstacle = separations(positions, obstacles, coll_axes)
+        separated = pair, obstacle = separations(positions, obstacles, coll_axes)
         min_inter.append(min(pair.tolist(), default=None))
         min_obstacle.append(min(obstacle.ravel().tolist(), default=None))
-        if check_collision(positions, obstacles, coll_axes):
+        if check_collision(positions, obstacles, coll_axes, separated):
             collision_rounds.append(r)
         at_goal = all(
             np.linalg.norm(positions[i] - goals[i]) <= tol_pos and np.linalg.norm(velocities[i]) <= tol_vel

@@ -73,9 +73,10 @@ class SolverState:
     """Iterate carried across the S1..S5 updates.
 
     ``b`` is the target vector the next S1 reads.  ``factor`` holds
-    ``(rho, cho, v)``, the reduced S1 system factored at penalty ``rho``;
-    the penalty never decreases within a solve, so S1 refactors exactly
-    when it changes.
+    ``(rho, cho, v)``: the shared factor of the reduced S1 system at penalty
+    ``rho`` and the problem's reduced right-hand-side offset ``v``; the
+    penalty never decreases within a solve, so S1 looks them up again
+    exactly when it changes.
     """
 
     zeta1: np.ndarray
@@ -131,18 +132,29 @@ def step_s1(problem: PlanningProblem, state: SolverState) -> np.ndarray:
     positive definite once the basis has ``K >= n + 1``; the schedule keeps
     ``rho >= 1``.
     A singular reduced system raises :class:`numpy.linalg.LinAlgError`.
-    Refreshes ``state.factor`` when ``state.rho`` differs from its penalty.
+
+    The reduced Hessian depends only on the basis, ``M`` and ``rho``, so its
+    factor is read from, or on first use stored in, ``problem.shared.factors``,
+    beside the ``Q``, ``gram`` and null basis it was built from, for every
+    agent and round to share.  ``v``, the reduced image of the agent's
+    particular solution, is the problem's own; ``state.factor`` keeps it and
+    the factor while ``state.rho`` stays at their penalty.
     """
     rho = state.rho
+    shared = problem.shared
+    Z, ZT = shared.null_basis, shared.null_basis_T
     if state.factor is None or state.factor[0] != rho:
-        Z, ZT = problem.null_basis, problem.null_basis_T
-        A_hat = problem.Q + rho * problem.gram
-        cho = cho_factor(ZT @ A_hat @ Z, lower=True, check_finite=False)
+        A_hat = shared.Q + rho * shared.gram
+        cho = shared.factors.get(rho)
+        if cho is None:
+            cho = cho_factor(ZT @ A_hat @ Z, lower=True, check_finite=False)
+            cho[0].flags.writeable = False
+            shared.factors[rho] = cho
         state.factor = (rho, cho, ZT @ (A_hat @ problem.zeta_particular))
     _, cho, v = state.factor
-    rhs = -problem.q + state.lam + rho * (problem.AT @ state.b) + rho * (problem.GT @ (problem.h - state.slack))
-    y = cho_solve(cho, problem.null_basis_T @ rhs - v, check_finite=False)
-    return problem.zeta_particular + problem.null_basis @ y
+    rhs = -problem.q + state.lam + rho * (shared.AT @ state.b) + rho * (shared.GT @ (problem.h - state.slack))
+    y = cho_solve(cho, ZT @ rhs - v, check_finite=False)
+    return problem.zeta_particular + Z @ y
 
 
 def sample_rows(problem: PlanningProblem, zeta1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,11 +4,15 @@ Everything here deliberately avoids the library's own closed forms: the
 angle oracle is a grid search with local refinement, the magnitude oracle a
 ternary search, the equality-QP oracle a dense bordered-KKT factorization,
 and the basis-derivative oracle a finite difference of directly evaluated
-basis functions.
+basis functions.  The problem-matrix reference is the one exception: it
+repeats, from scratch per problem, the arithmetic the library now shares
+across problems, so the shared matrices can be required to match bit for
+bit.
 """
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import null_space, pinv
 from scipy.special import comb
 
 # Trig tables for the coarse grid are instance-independent.
@@ -141,3 +145,36 @@ def brute_force_collisions(positions, obstacles, coll_axes):
             if np.sum(((positions[i] - center) / axes) ** 2) < 1.0:
                 out.append((f"agent{i}", f"obstacle{k}"))
     return out
+
+
+def reference_problem_matrices(basis, M, e, kappa, w_goal, w_smooth):
+    """Every matrix of a problem with ``M`` targets, assembled from scratch for one problem.
+
+    Mirrors the per-problem assembly the library did before it shared the
+    matrices across problems: ``kron`` per axis, ``A`` kept contiguous for
+    the Gram matrix, ``null_space(C)`` and ``pinv(C) @ e``.
+    """
+    W, W1, W2, K = basis.W, basis.W1, basis.W2, basis.K
+    eye3 = np.eye(3)
+    Wk = W[K - kappa :, :]
+    Q_axis = 2.0 * (w_goal * Wk.T @ Wk + w_smooth * W2.T @ W2)
+    Q_axis = 0.5 * (Q_axis + Q_axis.T)
+    A = np.kron(eye3, np.vstack([W1, W2, np.tile(W, (M, 1))]))
+    B3 = np.kron(eye3, W)
+    G = np.vstack([B3, -B3])
+    C = np.kron(eye3, np.vstack([W[0], W1[0], W2[0]]))
+    AT = np.ascontiguousarray(A.T)
+    GT = np.ascontiguousarray(G.T)
+    null_basis = null_space(C)
+    return {
+        "Q": np.kron(eye3, Q_axis),
+        "A": A,
+        "AT": AT,
+        "G": G,
+        "GT": GT,
+        "C": C,
+        "gram": AT @ A + GT @ G,
+        "null_basis": null_basis,
+        "null_basis_T": np.ascontiguousarray(null_basis.T),
+        "zeta_particular": pinv(C) @ e,
+    }

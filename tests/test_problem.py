@@ -16,7 +16,7 @@ from swarmplan.problem import (
 )
 
 from conftest import cylinder_target, make_problem
-from oracles import dense_kkt_qp
+from oracles import dense_kkt_qp, reference_problem_matrices
 
 
 def target_vector(problem, polar):
@@ -200,6 +200,59 @@ def test_assemble_is_deterministic(basis30, default_config):
     p2 = make_problem(basis30, default_config, [-1, 0, 1], [1, 0, 1], [target])
     for name in ("Q", "q", "A", "G", "h", "C", "e"):
         np.testing.assert_array_equal(getattr(p1, name), getattr(p2, name))
+
+
+@pytest.mark.parametrize("M", [0, 1, 3])
+def test_shared_matrices_match_per_problem_assembly(M, default_config):
+    """Every matrix a problem exposes equals, bit for bit, the one a from-scratch
+    assembly of that problem alone gives, on a table hit as on its first fill."""
+    basis = build_basis(30, 10, 0.1)
+    targets = [cylinder_target(0.4 * j, -0.3, 0.3) for j in range(M)]
+    snapshots = [
+        AgentSnapshot(position=np.zeros(3), goal=np.ones(3)),
+        AgentSnapshot(
+            position=np.array([-1.0, 0.2, 1.0]),
+            goal=np.array([1.0, 0.0, 1.2]),
+            velocity=np.array([0.3, -0.1, 0.2]),
+            acceleration=np.array([0.5, 0.0, -0.4]),
+        ),
+    ]
+    cfg = PlanningConfig
+    for snapshot in snapshots:
+        problem = assemble(snapshot, targets, basis, default_config)
+        reference = reference_problem_matrices(basis, M, problem.e, cfg.kappa, cfg.w_goal, cfg.w_smooth)
+        for name, expected in reference.items():
+            np.testing.assert_array_equal(getattr(problem, name), expected, err_msg=name)
+
+
+def test_problems_on_one_basis_share_one_structure_per_conflict_count(default_config):
+    basis = build_basis(30, 10, 0.1)
+    target = cylinder_target(0.4, 0.1, 0.3)
+    first = make_problem(basis, default_config, [-1, 0, 1], [1, 0, 1], [target])
+    second = make_problem(basis, default_config, [0, 1, 1], [1, 1, 0.5], [cylinder_target(-0.5, 0.0, 0.2)])
+    free = make_problem(basis, default_config, [-1, 0, 1], [1, 0, 1])
+    assert second.shared is first.shared and basis.problem_table[1] is first.shared
+    assert free.shared is basis.problem_table[0] and free.shared is not first.shared
+    # The arrays M does not change are the same arrays for every M.
+    for name in ("Q", "G", "GT", "C", "null_basis", "null_basis_T", "C_pinv"):
+        assert getattr(free.shared, name) is getattr(first.shared, name), name
+    assert free.AT.shape != first.AT.shape
+    # Another basis has its own table.
+    assert make_problem(build_basis(30, 10, 0.1), default_config, [-1, 0, 1], [1, 0, 1]).shared is not free.shared
+
+
+def test_shared_matrices_are_read_only(basis30, default_config):
+    """Every agent on the basis reads the same arrays, so no problem may write to them."""
+    problem = make_problem(basis30, default_config, [-1, 0, 1], [1, 0, 1], [cylinder_target(0.4, 0.1, 0.3)])
+    for name in ("Q", "A", "AT", "G", "GT", "C", "gram", "null_basis", "null_basis_T"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(problem, name)[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            setattr(problem, name, np.zeros(1))
+    with pytest.raises(ValueError, match="read-only"):
+        problem.shared.C_pinv[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.shared.Q = np.eye(problem.n_coeffs)
 
 
 def test_initial_condition_rows(basis30, default_config):

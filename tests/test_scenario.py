@@ -45,6 +45,13 @@ def test_generator_rejects_overcrowded_request():
         generate_random(0, 30, 0, tiny)
 
 
+def test_generator_rejects_negative_obstacle_count():
+    """A negative count used to mean no obstacles (the loop ran zero times)."""
+    with pytest.raises(ScenarioError, match="negative"):
+        generate_random(0, 2, -3)
+    assert generate_random(0, 2, 0).obstacles == []
+
+
 def test_antipodal_two_agents():
     scenario = antipodal(2, radius=1.5, height=1.0)
     (s0, g0), (s1, g1) = scenario.agents

@@ -2,12 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, cho_factor
 
-from swarmplan import solver
+from swarmplan import sim, solver
 from swarmplan.bernstein import build_basis, refit_coefficients, sample_trajectory
 from swarmplan.polar import EllipsoidShape, PolarVars, clipped_magnitude, omega
 from swarmplan.problem import AgentSnapshot, ConstraintTarget, PlanningConfig, assemble, build_b
+from swarmplan.scenario import generate_random
 from swarmplan.solver import (
     SolverConfig,
     SolverState,
@@ -94,9 +95,18 @@ def check_s3_against_plain_bound(monkeypatch):
 # ---------------------------------------------------------------- S1
 
 
+def replace_shared_cost(problem, Q):
+    """Give the problem's private basis a shared structure with cost ``Q``, and the problem too.
+
+    The replacement starts with no factors, so S1 factors its own ``Q``.
+    """
+    shared = dataclasses.replace(problem.shared, Q=Q)
+    problem.basis.problem_table[problem.M] = problem.shared = shared
+
+
 def test_s1_zero_problem_returns_zero():
     problem, _ = small_problem(with_target=False)
-    problem.Q = np.eye(problem.n_coeffs)
+    replace_shared_cost(problem, np.eye(problem.n_coeffs))
     problem.q = np.zeros(problem.n_coeffs)
     problem.e = np.zeros(9)
     problem.zeta_particular = np.zeros(problem.n_coeffs)
@@ -142,6 +152,44 @@ def test_s1_refactors_only_when_rho_changes():
     A_hat = problem.Q + state.rho * problem.gram
     zeta_oracle = dense_kkt_qp(A_hat, -s1_rhs(problem, state), problem.C, problem.e)
     assert np.linalg.norm(step_s1(problem, state) - zeta_oracle) <= 1e-6 * (1.0 + np.linalg.norm(zeta_oracle))
+
+
+def test_s1_table_hit_matches_fresh_factor(monkeypatch):
+    """A factor another problem on the basis stored gives the bits a fresh one does."""
+    calls = []
+    monkeypatch.setattr(solver, "cho_factor", lambda *a, **k: calls.append(1) or cho_factor(*a, **k))
+    problem, rng = small_problem(4)
+    other = assemble(AgentSnapshot(position=np.zeros(3), goal=np.ones(3)), problem.targets, problem.basis, problem.config)
+    state = random_state(problem, rng, rho=rho_at(7))
+    step_s1(other, random_state(other, rng, rho=state.rho))
+    assert len(calls) == 1 and set(problem.shared.factors) == {state.rho}
+    hit = step_s1(problem, state)
+    assert len(calls) == 1 and state.factor[1] is problem.shared.factors[state.rho]
+    assert not state.factor[1][0].flags.writeable
+
+    fresh_problem, _ = small_problem(4)
+    assert fresh_problem.shared is not problem.shared and not fresh_problem.shared.factors
+    fresh = step_s1(fresh_problem, dataclasses.replace(state, factor=None))
+    assert len(calls) == 2
+    np.testing.assert_array_equal(hit, fresh)
+
+
+def test_run_mission_factors_once_per_conflict_count_and_penalty(monkeypatch):
+    """Every agent and round of a mission shares one factor per (M, rho); the
+    penalty schedule takes 52 values (1.3**k for k <= 50, then the cap)."""
+    factored, conflict_counts = [], set()
+    monkeypatch.setattr(solver, "cho_factor", lambda *a, **k: factored.append(1) or cho_factor(*a, **k))
+
+    def counting_solve(problem, *args, **kwargs):
+        conflict_counts.add(problem.M)
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "solve", counting_solve)
+    report = sim.run_mission(generate_random(1, 4, 4), mode="bf")
+    penalties = {rho_at(k) for k in range(SolverConfig().maxiter)}
+    assert len(penalties) == 52
+    assert report.rounds > 0 and len(conflict_counts) > 1
+    assert 0 < len(factored) <= len(penalties) * len(conflict_counts)
 
 
 def test_s1_is_constrained_minimum_of_augmented_objective():
@@ -466,7 +514,7 @@ def test_s1_singular_reduced_system_raises():
     """Validated configurations keep the reduced Hessian positive definite, so a
     singular one is an error, never silently shifted."""
     problem, _ = small_problem(0, with_target=False)
-    problem.Q = np.zeros_like(problem.Q)  # removes all curvature at rho = 0
+    replace_shared_cost(problem, np.zeros_like(problem.Q))  # removes all curvature at rho = 0
     problem.q = np.zeros_like(problem.q)
     state = SolverState.cold(problem)
     state.rho = 0.0
