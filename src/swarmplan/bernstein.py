@@ -21,10 +21,11 @@ class BasisSet:
     ``W`` rows form a partition of unity with entries in [0, 1]; the rows of
     the derivative matrices ``W1`` (1/s) and ``W2`` (1/s^2) sum to zero.
     Instances are safe to share across agent solvers.  The matrices are
-    fixed; ``problem_table`` starts empty and holds, by conflict count M, the
-    problem structure every agent planning on this basis shares (see
-    :func:`swarmplan.problem.shared_structure`), so it lives as long as the
-    basis.
+    fixed; ``W_all`` stacks ``W``, ``W1`` and ``W2`` so that one product
+    samples all three.  ``problem_table`` starts empty and holds, by conflict
+    count M, the problem structure every agent planning on this basis shares
+    (see :func:`swarmplan.problem.shared_structure`), so it lives as long as
+    the basis.
     """
 
     K: int
@@ -33,7 +34,11 @@ class BasisSet:
     W: np.ndarray
     W1: np.ndarray
     W2: np.ndarray
+    W_all: np.ndarray = field(init=False, repr=False, compare=False)
     problem_table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "W_all", np.vstack([self.W, self.W1, self.W2]))
 
     @property
     def duration(self) -> float:
@@ -112,14 +117,17 @@ def sample_trajectory(basis: BasisSet, coeffs: np.ndarray) -> tuple[np.ndarray, 
     """Map stacked coefficients ``[c_x; c_y; c_z]`` to sampled kinematics.
 
     Returns ``(positions, velocities, accelerations)``, each ``K x 3``, where
-    row ``k`` holds the values at time ``k * dt``.
+    row ``k`` holds the values at time ``k * dt``.  They are row blocks of
+    one product ``W_all @ c``, whose rows carry the same bits as
+    ``W @ c``, ``W1 @ c`` and ``W2 @ c``.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     expected = 3 * (basis.n + 1)
     if coeffs.shape != (expected,):
         raise ValueError(f"expected stacked coefficient vector of shape ({expected},), got {coeffs.shape}")
-    cmat = coeffs.reshape(3, basis.n + 1).T
-    return basis.W @ cmat, basis.W1 @ cmat, basis.W2 @ cmat
+    K = basis.K
+    stacked = basis.W_all @ coeffs.reshape(3, basis.n + 1).T
+    return stacked[:K], stacked[K : 2 * K], stacked[2 * K :]
 
 
 def refit_coefficients(basis: BasisSet, positions: np.ndarray) -> np.ndarray:

@@ -64,7 +64,12 @@ def omega(alpha, beta) -> np.ndarray:
     axis for array-valued angles.
     """
     sb = np.sin(beta)
-    return np.stack([np.cos(alpha) * sb, np.sin(alpha) * sb, np.cos(beta)], axis=-1)
+    x = np.cos(alpha) * sb
+    out = np.empty((*x.shape, 3))
+    out[..., 0] = x
+    np.multiply(np.sin(alpha), sb, out=out[..., 1])
+    out[..., 2] = np.cos(beta)
+    return out
 
 
 def _project_scaled(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,9 +79,8 @@ def _project_scaled(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     beta = np.arctan2(rxy, u[..., 2])
     # A row at the constraint center has no preferred direction; pin it to
     # the +x equator so repeated runs stay deterministic.
-    degenerate = (rxy == 0.0) & (u[..., 2] == 0.0)
-    if np.any(degenerate):
-        beta = np.where(degenerate, _HALF_PI, beta)
+    if not rxy.all():
+        beta = np.where((rxy == 0.0) & (u[..., 2] == 0.0), _HALF_PI, beta)
     return alpha, beta
 
 
@@ -113,7 +117,7 @@ def clipped_magnitude(diff: np.ndarray, omega_rows: np.ndarray, scales, lo, hi) 
     num = np.einsum("ij,ij->i", diff, scaled_dir)
     den = np.einsum("ij,ij->i", scaled_dir, scaled_dir)
     safe = den > _DEGENERATE_DEN
-    vertex = np.where(safe, num / np.where(safe, den, 1.0), lo)
+    vertex = num / den if safe.all() else np.where(safe, num / np.where(safe, den, 1.0), lo)
     return np.clip(vertex, lo, hi)
 
 

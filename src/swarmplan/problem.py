@@ -235,7 +235,8 @@ class PlanningProblem:
     state, so the step-0 rows admit it: speed cap ``max(v_max, |v0|)``,
     thrust band widened to include ``|a0 + g|``, and collision lower bound
     ``min(1, anchor)``, where ``anchors`` holds the measured scaled distance
-    to each target's step-0 center.
+    to each target's step-0 center; ``col_lo_step0`` views those collision
+    bounds, one per target.
 
     The matrices ``Q``, ``A``/``AT``, ``G``/``GT``, ``C``, ``gram`` and the
     null basis are read-only views of ``shared``, the
@@ -308,6 +309,7 @@ class PlanningProblem:
         self.lo_base = lo
         self.hi_bounds = hi
         self.col_rows = slice(2 * K, self.n_rows)
+        self.col_lo_step0 = lo[2 * K :: K]
         self.anchors = anchors
 
         self.zeta_particular = self.shared.C_pinv @ self.e
@@ -316,9 +318,7 @@ class PlanningProblem:
 
     def stack_samples(self, pos: np.ndarray, vel: np.ndarray, acc: np.ndarray) -> np.ndarray:
         """Arrange sampled kinematics into constraint-row order (n_rows x 3)."""
-        if self.M:
-            return np.concatenate([vel, acc, np.tile(pos, (self.M, 1))])
-        return np.concatenate([vel, acc])
+        return np.concatenate([vel, acc, *[pos] * self.M])
 
 
 def assemble(

@@ -20,10 +20,13 @@ Every solve starts cold.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .bernstein import sample_trajectory
 from .polar import PolarVars, _project_scaled, bf_lower_bound, clipped_magnitude, omega
@@ -33,6 +36,8 @@ from .problem import PlanningProblem, build_b
 # iteration keeps the reduced S1 Hessian positive definite (see step_s1).
 RHO_BASE = 1.3
 RHO_CAP = 5e5
+# Every value the schedule takes: 1.3**k below the cap (k <= 50), then the cap.
+_RHO_SCHEDULE = (*itertools.takewhile(lambda rho: rho < RHO_CAP, (RHO_BASE**k for k in itertools.count())), RHO_CAP)
 
 # Once the combined residual drops below the threshold the iterate counts as
 # converged, but the loop keeps polishing until the residual has sat below
@@ -50,8 +55,8 @@ RESIDUAL_FLOOR = 1e-8
 
 
 def rho_at(iteration: int) -> float:
-    """Penalty weight of the given iteration."""
-    return min(RHO_BASE**iteration, RHO_CAP)
+    """Penalty weight of the given iteration, read off the schedule table."""
+    return _RHO_SCHEDULE[min(iteration, len(_RHO_SCHEDULE) - 1)]
 
 
 @dataclass(frozen=True)
@@ -151,9 +156,14 @@ def step_s1(problem: PlanningProblem, state: SolverState) -> np.ndarray:
             cho[0].flags.writeable = False
             shared.factors[rho] = cho
         state.factor = (rho, cho, ZT @ (A_hat @ problem.zeta_particular))
-    _, cho, v = state.factor
-    rhs = -problem.q + state.lam + rho * (shared.AT @ state.b) + rho * (shared.GT @ (problem.h - state.slack))
-    y = cho_solve(cho, ZT @ rhs - v, check_finite=False)
+    _, (c, lower), v = state.factor
+    rhs = state.lam - problem.q
+    rhs += rho * (shared.AT @ state.b)
+    rhs += rho * (shared.GT @ (problem.h - state.slack))
+    # LAPACK's potrs on the cached factor: the routine cho_solve calls, without its wrappers.
+    y, info = dpotrs(c, ZT @ rhs - v, lower=lower, overwrite_b=True)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return problem.zeta_particular + Z @ y
 
 
@@ -200,7 +210,7 @@ def step_s3(
         shifted[:, 1:] = d_prev[:, :-1]
         bound = bf_lower_bound(shifted, problem.config.gamma)
         # Step 0 is pinned to the measured state; never ask for more than it has.
-        bound[:, 0] = np.minimum(bound[:, 0], lo[problem.col_rows][:: problem.K])
+        bound[:, 0] = np.minimum(bound[:, 0], problem.col_lo_step0)
         lo = lo.copy()
         lo[problem.col_rows] = bound.ravel()
     return clipped_magnitude(samples - problem.centers, omega_rows, problem.scales, lo, problem.hi_bounds)
@@ -232,8 +242,9 @@ def advance(problem: PlanningProblem, state: SolverState) -> None:
     r_eq = samples.T.ravel() - state.b
     viol = np.maximum(gz - problem.h, 0.0)
     state.lam = step_s5(problem, state, r_eq, viol)
-    state.eq_residual = float(np.linalg.norm(r_eq))
-    state.ineq_residual = float(np.linalg.norm(viol))
+    # sqrt(r . r) is what np.linalg.norm computes for a 1-D real vector.
+    state.eq_residual = math.sqrt(r_eq.dot(r_eq))
+    state.ineq_residual = math.sqrt(viol.dot(viol))
     state.iter += 1
     state.rho = rho_at(state.iter)
 

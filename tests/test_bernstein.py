@@ -87,3 +87,17 @@ def test_refit_recovers_coefficients():
     coeffs = rng.normal(size=33)
     pos, *_ = sample_trajectory(basis, coeffs)
     np.testing.assert_allclose(refit_coefficients(basis, pos), coeffs, atol=1e-8)
+
+
+@pytest.mark.parametrize("K,n", [(30, 10), (5, 3), (20, 6)])
+def test_stacked_sampling_keeps_the_bits_of_separate_products(K, n):
+    """One ``W_all`` product gives exactly the rows of ``W @ c``, ``W1 @ c`` and ``W2 @ c``."""
+    basis = build_basis(K, n, 0.1)
+    rng = np.random.default_rng(K * n)
+    for scale in (1e-3, 1.0, 1e3):
+        coeffs = rng.normal(0.0, scale, 3 * (n + 1))
+        cmat = coeffs.reshape(3, n + 1).T
+        pos, vel, acc = sample_trajectory(basis, coeffs)
+        assert np.array_equal(pos, basis.W @ cmat)
+        assert np.array_equal(vel, basis.W1 @ cmat)
+        assert np.array_equal(acc, basis.W2 @ cmat)

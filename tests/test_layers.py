@@ -1,0 +1,36 @@
+"""The benchmark's per-layer split (``perfbench/spans.py``) still finds every layer boundary.
+
+The split wraps the functions each caller looks up by module attribute.  A
+boundary that is inlined or renamed drops out of ``layer_calls`` and its
+per-layer metrics silently read 0, so the boundaries are pinned here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from swarmplan import sim, solver
+from swarmplan.scenario import generate_random
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_layer_boundary_is_found_and_called():
+    spans = load_spans()
+    calls = spans.layer_calls(sim, solver)
+    assert len(calls) == 12
+    tracer = spans.Tracer()
+    with spans.patched([(module, attr, tracer.wrap(name, getattr(module, attr))) for module, attr, name in calls]):
+        sim.run_mission(generate_random(1, 4, 4), mode="bf", time_limit=0.3)
+    counts = np.bincount(tracer.arrays()["name_id"], minlength=len(tracer.names))
+    called = {name for name, count in zip(tracer.names, counts) if count}
+    assert called == {name for *_, name in calls}
+    assert {f"solver.s{k}" for k in range(1, 6)} <= called

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swarmplan.polar import EllipsoidShape, bf_lower_bound, omega, project_angles, solve_magnitude
+from swarmplan.polar import EllipsoidShape, bf_lower_bound, clipped_magnitude, omega, project_angles, solve_magnitude
 
 from oracles import grid_search_angles, projection_objective, ternary_search_magnitude
 
@@ -20,6 +20,16 @@ def test_omega_unit_norm():
     np.testing.assert_allclose(np.linalg.norm(omega(alpha, beta), axis=-1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 60, 150, 300])
+def test_omega_keeps_the_bits_of_the_stacked_formula(n):
+    rng = np.random.default_rng(n)
+    alpha = rng.uniform(-np.pi, np.pi, n)
+    beta = rng.uniform(0.0, np.pi, n)
+    for a, b in ((alpha, beta), (alpha[0], beta[0]), (alpha.reshape(-1, 1), beta.reshape(-1, 1))):
+        sb = np.sin(b)
+        assert np.array_equal(omega(a, b), np.stack([np.cos(a) * sb, np.sin(a) * sb, np.cos(b)], axis=-1))
+
+
 def test_project_angles_on_semi_axes():
     shape = EllipsoidShape(0.3, 0.5, 1.2)
     alpha, beta = project_angles(np.array([0.3, 0.0, 0.0]), 1.0, shape)
@@ -33,6 +43,15 @@ def test_project_angles_degenerate_center():
     alpha, beta = project_angles(np.zeros(3), 1.0, UNIT)
     assert alpha == 0.0
     assert beta == pytest.approx(np.pi / 2)
+
+
+def test_project_angles_pins_only_rows_at_the_center():
+    """Among ordinary rows, only one at the center moves to the +x equator; one on the z axis keeps its pole."""
+    diff = np.array([[0.3, -0.2, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, -0.7], [0.0, 0.0, 0.4]])
+    alpha, beta = project_angles(diff, 1.0, UNIT)
+    np.testing.assert_array_equal(alpha, np.arctan2(diff[:, 1], diff[:, 0]))
+    np.testing.assert_array_equal(beta[[0, 2, 3]], np.arctan2(np.hypot(diff[:, 0], diff[:, 1]), diff[:, 2])[[0, 2, 3]])
+    assert beta[1] == np.pi / 2 and beta[2] == np.pi and beta[3] == 0.0
 
 
 def test_grid_search_separable_scan_matches_dense_grid():
@@ -93,6 +112,20 @@ def test_solve_magnitude_matches_ternary_search():
 def test_solve_magnitude_degenerate_denominator_returns_lower_bound():
     tiny = EllipsoidShape(1e-7, 1e-7, 1e-7)
     assert solve_magnitude(np.array([1.0, 0.0, 0.0]), 0.0, np.pi / 2, tiny, 0.25, np.inf) == 0.25
+
+
+def test_degenerate_magnitude_row_leaves_the_other_rows_unchanged():
+    """A row with a vanishing quadratic coefficient takes its lower bound; every other row keeps its bits."""
+    rng = np.random.default_rng(5)
+    diff = rng.normal(size=(40, 3))
+    omega_rows = omega(rng.uniform(-np.pi, np.pi, 40), rng.uniform(0.0, np.pi, 40))
+    scales = rng.uniform(0.2, 2.0, (40, 3))
+    lo, hi = rng.uniform(0.0, 0.5, 40), np.full(40, np.inf)
+    regular = clipped_magnitude(diff, omega_rows, scales, lo, hi)
+    scales[7] = 1e-7
+    mixed = clipped_magnitude(diff, omega_rows, scales, lo, hi)
+    assert mixed[7] == lo[7]
+    assert np.array_equal(np.delete(mixed, 7), np.delete(regular, 7))
 
 
 def test_bf_lower_bound_values():

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, cho_factor
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from swarmplan import sim, solver
 from swarmplan.bernstein import build_basis, refit_coefficients, sample_trajectory
@@ -190,6 +190,21 @@ def test_run_mission_factors_once_per_conflict_count_and_penalty(monkeypatch):
     assert len(penalties) == 52
     assert report.rounds > 0 and len(conflict_counts) > 1
     assert 0 < len(factored) <= len(penalties) * len(conflict_counts)
+
+
+def test_s1_keeps_the_bits_of_cho_solve(basis30, default_config):
+    """The direct LAPACK solve on the cached factor, with the right-hand side summed in
+    place, gives exactly what ``cho_solve`` gives on ``-q + lam + rho A'b + rho G'(h - s)``."""
+    rng = np.random.default_rng(11)
+    for M in range(4):
+        targets = [cylinder_target(*rng.uniform(-1.0, 1.0, 2), 0.3) for _ in range(M)]
+        problem = make_problem(basis30, default_config, [-1.5, -1.5, 1.0], [1.5, 1.5, 1.0], targets)
+        for k in (0, 7, 30, 51):
+            state = random_state(problem, rng, rho=rho_at(k))
+            zeta = step_s1(problem, state)
+            _, cho, v = state.factor
+            y = cho_solve(cho, problem.null_basis_T @ s1_rhs(problem, state) - v, check_finite=False)
+            assert np.array_equal(zeta, problem.zeta_particular + problem.null_basis @ y)
 
 
 def test_s1_is_constrained_minimum_of_augmented_objective():
@@ -483,6 +498,31 @@ def test_solve_nonconvergence_reports_best_iterate(basis30, default_config):
     zeta, diag = solve(problem, config=SolverConfig(maxiter=5))
     assert not diag.converged
     assert diag.iterations == 5
+    assert np.all(np.isfinite(zeta))
+
+
+def test_residuals_are_the_numpy_norms(basis30, default_config):
+    """``advance``'s residuals carry the bits of ``np.linalg.norm`` of ``A z - b`` and ``max(G z - h, 0)``."""
+    problem, _ = random_full_instance(np.random.default_rng(9), basis30, default_config)
+    state = SolverState.cold(problem)
+    for _ in range(40):
+        advance(problem, state)
+        samples, gz = sample_rows(problem, state.zeta1)
+        assert state.eq_residual == float(np.linalg.norm(samples.T.ravel() - state.b))
+        assert state.ineq_residual == float(np.linalg.norm(np.maximum(gz - problem.h, 0.0)))
+
+
+def test_penalty_schedule_is_capped_past_any_iteration():
+    """The schedule is ``min(1.3**k, RHO_CAP)`` where ``1.3**k`` is a float, and the cap beyond;
+    ``1.3**2706`` overflows, so the cap must not be computed from it."""
+    assert [rho_at(k) for k in range(2706)] == [min(solver.RHO_BASE**k, solver.RHO_CAP) for k in range(2706)]
+    assert rho_at(2706) == solver.RHO_CAP and rho_at(10**6) == solver.RHO_CAP
+
+
+def test_solve_runs_past_the_float_range_of_the_schedule(basis30, default_config):
+    problem = make_problem(basis30, default_config, [-1.5, 0, 1], [1.5, 0, 1])
+    zeta, diag = solve(problem, SolverConfig(maxiter=3000, threshold=1e-300))
+    assert diag.iterations == 3000 and not diag.converged
     assert np.all(np.isfinite(zeta))
 
 
