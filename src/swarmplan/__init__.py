@@ -11,8 +11,8 @@ Library layout:
 - :mod:`swarmplan.cli` -- command-line entry point (run / sweep / antipodal / validate-scenario).
 """
 
-from .bernstein import BasisSet, build_basis, refit_coefficients, sample_trajectory
-from .polar import EllipsoidShape, PolarVars, bf_lower_bound, omega, project_angles, solve_magnitude
+from .bernstein import BasisSet, build_basis, sample_trajectory
+from .polar import EllipsoidShape, bf_lower_bound, clipped_magnitude, omega, project_scaled
 from .problem import (
     AgentSnapshot,
     ConstraintTarget,
@@ -35,7 +35,6 @@ __all__ = [
     "Obstacle",
     "PlanningConfig",
     "PlanningProblem",
-    "PolarVars",
     "Scenario",
     "SolveDiagnostics",
     "SolverConfig",
@@ -47,15 +46,14 @@ __all__ = [
     "build_basis",
     "check_collision",
     "check_goal_reached",
+    "clipped_magnitude",
     "detect_conflicts",
     "generate_random",
     "load_scenario",
     "omega",
-    "project_angles",
-    "refit_coefficients",
+    "project_scaled",
     "run_mission",
     "sample_trajectory",
     "save_scenario",
     "solve",
-    "solve_magnitude",
 ]

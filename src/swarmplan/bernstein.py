@@ -10,6 +10,7 @@ derivative matrices are exact analytic derivatives of the basis functions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -46,20 +47,11 @@ class BasisSet:
         return (self.K - 1) * self.dt
 
 
-def _binomial(n: int, m: int) -> float:
-    # Floating-point product form; stays finite well past n = 10 where
-    # factorial ratios would be needlessly large intermediates.
-    c = 1.0
-    for i in range(1, m + 1):
-        c *= (n - m + i) / i
-    return c
-
-
 def _basis_values(tau: np.ndarray, n: int) -> np.ndarray:
     """Degree-``n`` Bernstein basis evaluated at normalized times ``tau``."""
     out = np.empty((tau.size, n + 1))
     for m in range(n + 1):
-        out[:, m] = _binomial(n, m) * tau**m * (1.0 - tau) ** (n - m)
+        out[:, m] = float(comb(n, m)) * tau**m * (1.0 - tau) ** (n - m)
     return out
 
 
@@ -129,15 +121,3 @@ def sample_trajectory(basis: BasisSet, coeffs: np.ndarray) -> tuple[np.ndarray, 
     stacked = basis.W_all @ coeffs.reshape(3, basis.n + 1).T
     return stacked[:K], stacked[K : 2 * K], stacked[2 * K :]
 
-
-def refit_coefficients(basis: BasisSet, positions: np.ndarray) -> np.ndarray:
-    """Least-squares fit of stacked coefficients to ``K x 3`` position samples.
-
-    Inverse of the position part of :func:`sample_trajectory`; exact whenever
-    the samples come from a degree <= ``n`` polynomial.
-    """
-    positions = np.asarray(positions, dtype=float)
-    if positions.shape != (basis.K, 3):
-        raise ValueError(f"expected positions of shape ({basis.K}, 3), got {positions.shape}")
-    cmat, *_ = np.linalg.lstsq(basis.W, positions, rcond=None)
-    return cmat.T.ravel()

@@ -20,6 +20,8 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -223,20 +225,12 @@ def cmd_sweep(args) -> int:
 
     rows = []
     failures = 0
-    jobs = max(1, args.jobs)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [(spec, pool.submit(_run_trial, spec)) for spec in specs]
-            for spec, future in futures:
-                try:
-                    rows.append(future.result())
-                except Exception as exc:  # pragma: no cover - defensive per-trial isolation
-                    failures += 1
-                    print(f"trial {spec['size']}/{spec['seed']}/{spec['gamma']} failed: {exc}", file=sys.stderr)
-    else:
-        for spec in specs:
+    # A failed trial is reported and counted, and the other trials still run.
+    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        results = [pool.submit(_run_trial, spec).result if pool else partial(_run_trial, spec) for spec in specs]
+        for spec, result in zip(specs, results):
             try:
-                rows.append(_run_trial(spec))
+                rows.append(result())
             except Exception as exc:
                 failures += 1
                 print(f"trial {spec['size']}/{spec['seed']}/{spec['gamma']} failed: {exc}", file=sys.stderr)
@@ -296,6 +290,11 @@ def _checked(convert, check):
     return parse
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"must be at least 1, got {jobs}")
+
+
 def _add_common_solver_flags(parser):
     """``--mode``, ``--maxiter`` and ``--threshold``; each subcommand adds its own ``--gamma``."""
     parser.add_argument("--mode", choices=MODES, default="standard")
@@ -324,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--obstacles", type=int, default=16)
     p_sweep.add_argument("--workspace", default="4x4x2", help="workspace dims WxDxH in meters")
     p_sweep.add_argument("--out", required=True, help="output directory")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel trial processes")
+    p_sweep.add_argument("--jobs", type=_checked(int, _check_jobs), default=1, help="parallel trial processes (>= 1)")
     p_sweep.add_argument("--dump", action="store_true", help="also write per-trial trajectory dumps")
     _add_common_solver_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)

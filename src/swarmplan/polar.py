@@ -2,10 +2,10 @@
 
 A quadratic norm constraint on a 3-vector is split into a unit direction
 ``omega(alpha, beta)`` and a nonnegative magnitude ``d``.  This module holds
-the direction map, the closed-form angle update (projection of a point onto
-the scaled unit sphere), the closed-form clipped magnitude update, and the
-barrier-style lower bound used to throttle how fast a constraint boundary may
-be approached.
+the direction map, the closed-form angle update (:func:`project_scaled`, the
+projection of a point onto the scaled unit sphere), the closed-form clipped
+magnitude update (:func:`clipped_magnitude`), and the barrier-style lower
+bound used to throttle how fast a constraint boundary may be approached.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ class EllipsoidShape:
     c: float
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c) <= 0:
-            raise ValueError(f"semi-axes must be positive, got {(self.a, self.b, self.c)}")
+        if not (0.0 < self.a < np.inf and 0.0 < self.b < np.inf and 0.0 < self.c < np.inf):  # also rejects nan
+            raise ValueError(f"semi-axes must be positive and finite, got {(self.a, self.b, self.c)}")
 
     @property
     def as_array(self) -> np.ndarray:
@@ -36,25 +36,6 @@ class EllipsoidShape:
 
     def inflate(self, other: "EllipsoidShape") -> "EllipsoidShape":
         return EllipsoidShape(self.a + other.a, self.b + other.b, self.c + other.c)
-
-
-@dataclass
-class PolarVars:
-    """Auxiliary direction/magnitude variables, one triple per constraint row.
-
-    Rows are stacked per step and constraint family (velocity, acceleration,
-    then one block per collision target); ``alpha`` is the azimuthal angle,
-    ``beta`` the polar angle in [0, pi], and ``d`` the magnitude in the
-    family's own units.
-    """
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    d: np.ndarray
-
-    @classmethod
-    def zeros(cls, n_rows: int) -> "PolarVars":
-        return cls(alpha=np.zeros(n_rows), beta=np.zeros(n_rows), d=np.zeros(n_rows))
 
 
 def omega(alpha, beta) -> np.ndarray:
@@ -72,8 +53,14 @@ def omega(alpha, beta) -> np.ndarray:
     return out
 
 
-def _project_scaled(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Angle pair aligning ``omega`` with each pre-scaled difference row."""
+def project_scaled(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angle pair aligning ``omega`` with each pre-scaled difference row.
+
+    ``u`` holds difference vectors already divided by the ellipsoid
+    semi-axes, one per row.  The returned ``(alpha, beta)`` minimize
+    ``||u - d * omega(alpha, beta)||`` over the angles for every ``d > 0``,
+    with ``beta`` in [0, pi].
+    """
     rxy = np.hypot(u[..., 0], u[..., 1])
     alpha = np.arctan2(u[..., 1], u[..., 0])
     beta = np.arctan2(rxy, u[..., 2])
@@ -81,25 +68,6 @@ def _project_scaled(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the +x equator so repeated runs stay deterministic.
     if not rxy.all():
         beta = np.where((rxy == 0.0) & (u[..., 2] == 0.0), _HALF_PI, beta)
-    return alpha, beta
-
-
-def project_angles(diff: np.ndarray, d, shape: EllipsoidShape) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal angles for fixed magnitudes ``d``: project differences onto the ellipsoid.
-
-    ``diff`` holds unscaled difference vectors (one per row); scaling by the
-    ellipsoid semi-axes happens here.  The returned ``(alpha, beta)`` minimize
-    the scaled per-row residual ``||diff / (a,b,c) - d * omega(alpha, beta)||``
-    over the angles, with ``beta`` in [0, pi].  The minimizer is independent
-    of ``d > 0``; the magnitude is accepted for interface symmetry with
-    :func:`solve_magnitude`.
-    """
-    diff = np.asarray(diff, dtype=float)
-    single = diff.ndim == 1
-    u = np.atleast_2d(diff) / shape.as_array
-    alpha, beta = _project_scaled(u)
-    if single:
-        return float(alpha[0]), float(beta[0])
     return alpha, beta
 
 
@@ -119,20 +87,6 @@ def clipped_magnitude(diff: np.ndarray, omega_rows: np.ndarray, scales, lo, hi) 
     safe = den > _DEGENERATE_DEN
     vertex = num / den if safe.all() else np.where(safe, num / np.where(safe, den, 1.0), lo)
     return np.clip(vertex, lo, hi)
-
-
-def solve_magnitude(diff: np.ndarray, alpha, beta, shape: EllipsoidShape, lo, hi) -> np.ndarray:
-    """:func:`clipped_magnitude` for the direction ``omega(alpha, beta)`` and one shape.
-
-    Minimizes ``||diff - (a,b,c) * d * omega(alpha, beta)||^2`` over ``d``
-    per row and clips into ``[lo, hi]``; a single difference vector gives a
-    float.
-    """
-    diff = np.asarray(diff, dtype=float)
-    d = clipped_magnitude(np.atleast_2d(diff), np.atleast_2d(omega(alpha, beta)), shape.as_array, lo, hi)
-    if diff.ndim == 1:
-        return float(d[0])
-    return d
 
 
 def bf_lower_bound(d_prev, gamma: float):

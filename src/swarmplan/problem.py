@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import null_space, pinv
 
 from .bernstein import BasisSet
-from .polar import EllipsoidShape, PolarVars
+from .polar import EllipsoidShape
 
 GRAVITY = 9.81
 
@@ -58,7 +58,10 @@ class PlanningConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if np.any(np.asarray(self.p_min) >= np.asarray(self.p_max)):
+        p_min, p_max = np.asarray(self.p_min, dtype=float), np.asarray(self.p_max, dtype=float)
+        if not (np.all(np.isfinite(p_min)) and np.all(np.isfinite(p_max))):
+            raise ValueError(f"workspace bounds must be finite, got p_min={self.p_min}, p_max={self.p_max}")
+        if np.any(p_min >= p_max):
             raise ValueError("workspace bounds require p_min < p_max componentwise")
 
 
@@ -83,9 +86,9 @@ class AgentSnapshot:
 class ConstraintTarget:
     """One collision constraint source: a neighbour or an obstacle.
 
-    ``predicted_centers`` holds the target's position over the horizon, one
-    row per step; ``shape`` is the ellipsoid the planner keeps the agent
-    outside of.
+    ``predicted_centers`` holds the target's finite position over the
+    horizon, one row per step; ``shape`` is the ellipsoid the planner keeps
+    the agent outside of.
     """
 
     kind: str
@@ -98,6 +101,8 @@ class ConstraintTarget:
         self.predicted_centers = np.asarray(self.predicted_centers, dtype=float)
         if self.predicted_centers.ndim != 2 or self.predicted_centers.shape[1] != 3:
             raise ValueError(f"predicted_centers must be K x 3, got {self.predicted_centers.shape}")
+        if not np.isfinite(self.predicted_centers).all():
+            raise ValueError("predicted_centers must be finite")
 
 
 def detect_conflicts(
@@ -165,10 +170,6 @@ class SharedStructure:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
-    @property
-    def A(self) -> np.ndarray:
-        return self.AT.T
-
 
 _M_INDEPENDENT = ("Q", "G", "GT", "C", "null_basis", "null_basis_T", "C_pinv")
 
@@ -216,10 +217,6 @@ def shared_structure(basis: BasisSet, M: int) -> SharedStructure:
     return table[M]
 
 
-def _shared(name: str) -> property:
-    return property(lambda problem: getattr(problem.shared, name), doc=f"``shared.{name}``, read-only.")
-
-
 class PlanningProblem:
     """Assembled per-round optimization data for one agent.
 
@@ -238,22 +235,12 @@ class PlanningProblem:
     to each target's step-0 center; ``col_lo_step0`` views those collision
     bounds, one per target.
 
-    The matrices ``Q``, ``A``/``AT``, ``G``/``GT``, ``C``, ``gram`` and the
-    null basis are read-only views of ``shared``, the
-    :class:`SharedStructure` of the basis and ``M``; the agent's own data is
-    ``q``, ``h``, ``e``, the row metadata and ``zeta_particular``, the
-    particular solution ``pinv(C) @ e`` of ``C z = e``.
+    The matrices ``Q``, ``AT``, ``G``/``GT``, ``C``, ``gram`` and the null
+    basis are read from ``shared``, the read-only :class:`SharedStructure`
+    of the basis and ``M``; the agent's own data is ``q``, ``h``, ``e``, the
+    row metadata and ``zeta_particular``, the particular solution
+    ``pinv(C) @ e`` of ``C z = e``.
     """
-
-    Q = _shared("Q")
-    A = _shared("A")
-    AT = _shared("AT")
-    G = _shared("G")
-    GT = _shared("GT")
-    C = _shared("C")
-    gram = _shared("gram")
-    null_basis = _shared("null_basis")
-    null_basis_T = _shared("null_basis_T")
 
     def __init__(self, config: PlanningConfig, snapshot: AgentSnapshot, targets: list[ConstraintTarget], basis: BasisSet):
         if basis.K < config.kappa:
@@ -313,7 +300,7 @@ class PlanningProblem:
         self.anchors = anchors
 
         self.zeta_particular = self.shared.C_pinv @ self.e
-        if not np.allclose(self.C @ self.zeta_particular, self.e, atol=1e-9):
+        if not np.allclose(self.shared.C @ self.zeta_particular, self.e, atol=1e-9):
             raise ValueError("initial conditions are inconsistent with the basis degree")
 
     def stack_samples(self, pos: np.ndarray, vel: np.ndarray, acc: np.ndarray) -> np.ndarray:
@@ -331,16 +318,17 @@ def assemble(
     return PlanningProblem(config, snapshot, targets, basis)
 
 
-def build_b(problem: PlanningProblem, polar: PolarVars, omega_rows: np.ndarray) -> np.ndarray:
-    """Stacked target vector matching ``problem.A``'s row layout.
+def build_b(problem: PlanningProblem, d: np.ndarray, omega_rows: np.ndarray) -> np.ndarray:
+    """Stacked target vector matching the row layout of ``A = shared.AT.T``.
 
-    ``omega_rows`` holds ``omega(polar.alpha, polar.beta)``, one direction per
-    row.  Every constraint row contributes ``center + scale * d * omega`` per axis;
-    velocity rows are centered at zero, acceleration rows carry the gravity
-    offset on z, and collision rows are centered on the target positions with
-    the ellipsoid semi-axes as scales.
+    ``d`` holds one magnitude and ``omega_rows`` one unit direction per
+    constraint row.  Every constraint row contributes
+    ``center + scale * d * omega`` per axis; velocity rows are centered at
+    zero, acceleration rows carry the gravity offset on z, and collision rows
+    are centered on the target positions with the ellipsoid semi-axes as
+    scales.
     """
-    if polar.d.shape != (problem.n_rows,):
-        raise ValueError(f"polar variables must have {problem.n_rows} rows, got {polar.d.shape}")
-    rows = problem.centers + problem.scales * (polar.d[:, None] * omega_rows)
+    if d.shape != (problem.n_rows,):
+        raise ValueError(f"magnitudes must have {problem.n_rows} rows, got {d.shape}")
+    rows = problem.centers + problem.scales * (d[:, None] * omega_rows)
     return rows.T.ravel()

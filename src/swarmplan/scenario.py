@@ -31,6 +31,10 @@ class ScenarioError(ValueError):
     """Raised for structurally invalid or over-constrained scenarios."""
 
 
+def _finite_point(value: np.ndarray) -> bool:
+    return value.shape == (3,) and bool(np.all(np.isfinite(value)))
+
+
 @dataclass
 class Obstacle:
     """Static or constant-velocity obstacle with an ellipsoidal envelope."""
@@ -43,8 +47,8 @@ class Obstacle:
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
         self.velocity = np.asarray(self.velocity, dtype=float)
-        if self.center.shape != (3,) or self.velocity.shape != (3,):
-            raise ScenarioError("obstacle center and velocity must be 3-vectors")
+        if not (_finite_point(self.center) and _finite_point(self.velocity)):
+            raise ScenarioError("obstacle center and velocity must be finite 3-vectors")
         if self.kind not in ("cylinder", "ellipsoid"):
             raise ScenarioError(f"obstacle kind must be 'cylinder' or 'ellipsoid', got {self.kind!r}")
 
@@ -96,8 +100,11 @@ def _outside_obstacles(p: np.ndarray, obstacles: list[Obstacle]) -> bool:
 def validate(scenario: Scenario) -> None:
     """Check the scenario invariants; raise :class:`ScenarioError` on the first violation."""
     lo, hi = scenario.workspace
-    if np.any(lo >= hi):
-        raise ScenarioError("workspace must have positive extent on every axis")
+    if not (_finite_point(lo) and _finite_point(hi)) or np.any(lo >= hi):
+        raise ScenarioError("workspace must be finite with positive extent on every axis")
+    for k, obs in enumerate(scenario.obstacles):
+        if not (_finite_point(obs.center) and _finite_point(obs.velocity)):
+            raise ScenarioError(f"obstacle {k}: center and velocity must be finite 3-vectors")
     starts = [s for s, _ in scenario.agents]
     goals = [g for _, g in scenario.agents]
     for i, (s, g) in enumerate(scenario.agents):

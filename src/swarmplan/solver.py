@@ -29,7 +29,7 @@ from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotrs
 
 from .bernstein import sample_trajectory
-from .polar import PolarVars, _project_scaled, bf_lower_bound, clipped_magnitude, omega
+from .polar import bf_lower_bound, clipped_magnitude, omega, project_scaled
 from .problem import PlanningProblem, build_b
 
 # Penalty schedule rho_k = min(RHO_BASE**k, RHO_CAP).  rho >= 1 at every
@@ -77,7 +77,10 @@ class SolverConfig:
 class SolverState:
     """Iterate carried across the S1..S5 updates.
 
-    ``b`` is the target vector the next S1 reads.  ``factor`` holds
+    ``alpha``, ``beta`` and ``d`` hold the polar variables, one per
+    constraint row in the problem's row layout: the azimuth, the polar angle
+    in [0, pi] and the magnitude in the family's own units.  ``b`` is the
+    target vector the next S1 reads.  ``factor`` holds
     ``(rho, cho, v)``: the shared factor of the reduced S1 system at penalty
     ``rho`` and the problem's reduced right-hand-side offset ``v``; the
     penalty never decreases within a solve, so S1 looks them up again
@@ -85,7 +88,9 @@ class SolverState:
     """
 
     zeta1: np.ndarray
-    polar: PolarVars
+    alpha: np.ndarray
+    beta: np.ndarray
+    d: np.ndarray
     lam: np.ndarray
     slack: np.ndarray
     b: np.ndarray
@@ -104,16 +109,18 @@ class SolverState:
         barrier's first bound reads the measured state rather than the zero
         placeholder, which would make it looser than the plain bound 1.
         """
-        polar = PolarVars.zeros(problem.n_rows)
+        alpha, beta, d = np.zeros(problem.n_rows), np.zeros(problem.n_rows), np.zeros(problem.n_rows)
         state = cls(
             zeta1=np.zeros(problem.n_coeffs),
-            polar=polar,
+            alpha=alpha,
+            beta=beta,
+            d=d,
             lam=np.zeros(problem.n_coeffs),
             slack=np.zeros(problem.h.size),
-            b=build_b(problem, polar, omega(polar.alpha, polar.beta)),
+            b=build_b(problem, d, omega(alpha, beta)),
             rho=rho_at(0),
         )
-        polar.d[problem.col_rows] = np.repeat(problem.anchors, problem.K)
+        d[problem.col_rows] = np.repeat(problem.anchors, problem.K)
         return state
 
 
@@ -180,7 +187,7 @@ def sample_rows(problem: PlanningProblem, zeta1: np.ndarray) -> tuple[np.ndarray
 
 def step_s2(problem: PlanningProblem, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Angle update: independently project every constraint row's difference."""
-    return _project_scaled((samples - problem.centers) / problem.scales)
+    return project_scaled((samples - problem.centers) / problem.scales)
 
 
 def step_s3(
@@ -204,7 +211,7 @@ def step_s3(
     """
     lo = problem.lo_base
     if problem.M:
-        d_prev = state.polar.d[problem.col_rows].reshape(problem.M, problem.K)
+        d_prev = state.d[problem.col_rows].reshape(problem.M, problem.K)
         shifted = np.empty_like(d_prev)
         shifted[:, 0] = problem.anchors
         shifted[:, 1:] = d_prev[:, :-1]
@@ -224,7 +231,8 @@ def step_s4(problem: PlanningProblem, gz: np.ndarray) -> np.ndarray:
 def step_s5(problem: PlanningProblem, state: SolverState, r_eq: np.ndarray, viol: np.ndarray) -> np.ndarray:
     """Multiplier update from the equality residual ``A z - b`` and the bound residual ``G z - h + s``."""
     half_rho = 0.5 * state.rho
-    return state.lam - half_rho * (problem.AT @ r_eq) - half_rho * (problem.GT @ viol)
+    shared = problem.shared
+    return state.lam - half_rho * (shared.AT @ r_eq) - half_rho * (shared.GT @ viol)
 
 
 def advance(problem: PlanningProblem, state: SolverState) -> None:
@@ -234,11 +242,11 @@ def advance(problem: PlanningProblem, state: SolverState) -> None:
     """
     state.zeta1 = step_s1(problem, state)
     samples, gz = sample_rows(problem, state.zeta1)
-    state.polar.alpha, state.polar.beta = step_s2(problem, samples)
-    omega_rows = omega(state.polar.alpha, state.polar.beta)
-    state.polar.d = step_s3(problem, state, samples, omega_rows)
+    state.alpha, state.beta = step_s2(problem, samples)
+    omega_rows = omega(state.alpha, state.beta)
+    state.d = step_s3(problem, state, samples, omega_rows)
     state.slack = step_s4(problem, gz)
-    state.b = build_b(problem, state.polar, omega_rows)
+    state.b = build_b(problem, state.d, omega_rows)
     r_eq = samples.T.ravel() - state.b
     viol = np.maximum(gz - problem.h, 0.0)
     state.lam = step_s5(problem, state, r_eq, viol)
@@ -256,6 +264,11 @@ def solve(problem: PlanningProblem, config: SolverConfig | None = None) -> tuple
     :class:`~swarmplan.problem.PlanningProblem`), so a start that violates an
     ordinary bound does not floor the residual.  Returns the lowest-residual
     iterate and the diagnostics of the last one.
+
+    A non-finite residual ends the loop: it reaches the multipliers through
+    ``A'``, so every later iterate would be non-finite too.  The best finite
+    iterate before it is returned; if there is none, :class:`FloatingPointError`
+    is raised, since the zero cold start is no plan.
     """
     config = config or SolverConfig()
     state = SolverState.cold(problem)
@@ -268,6 +281,8 @@ def solve(problem: PlanningProblem, config: SolverConfig | None = None) -> tuple
     while state.iter < config.maxiter:
         advance(problem, state)
         residual = state.eq_residual + state.ineq_residual
+        if not math.isfinite(residual):
+            break
         if residual < best_residual:
             best_residual = residual
             best_zeta = state.zeta1
@@ -279,6 +294,8 @@ def solve(problem: PlanningProblem, config: SolverConfig | None = None) -> tuple
             floor_hits += 1
         if converged and (floor_hits >= SETTLE_PASSES or polish_iters >= POLISH_BUDGET):
             break
+    if best_residual == np.inf:
+        raise FloatingPointError(f"non-finite residual at iteration {state.iter} before any finite iterate")
 
     diagnostics = SolveDiagnostics(
         iterations=state.iter,

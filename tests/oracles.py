@@ -132,6 +132,20 @@ def finite_difference_derivative(n, m, tau, T, h=1e-6):
     return (bernstein_value(n, m, tau + dtau) - bernstein_value(n, m, tau - dtau)) / (2.0 * h)
 
 
+def refit_coefficients(basis, positions):
+    """Least-squares fit of stacked coefficients to ``K x 3`` position samples.
+
+    Inverse of the position part of ``sample_trajectory``; exact whenever the
+    samples come from a degree <= ``n`` polynomial.  Tests use it to build
+    the coefficients of a chosen path.
+    """
+    positions = np.asarray(positions, dtype=float)
+    if positions.shape != (basis.K, 3):
+        raise ValueError(f"expected positions of shape ({basis.K}, 3), got {positions.shape}")
+    cmat, *_ = np.linalg.lstsq(basis.W, positions, rcond=None)
+    return cmat.T.ravel()
+
+
 def brute_force_collisions(positions, obstacles, coll_axes):
     """Direct double-loop declared-collision evaluation."""
     positions = np.atleast_2d(positions)

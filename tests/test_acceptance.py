@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from swarmplan.bernstein import sample_trajectory
-from swarmplan.polar import EllipsoidShape, project_angles, solve_magnitude
+from swarmplan.polar import EllipsoidShape, clipped_magnitude, omega, project_scaled
 from swarmplan.problem import PlanningConfig, assemble
 from swarmplan.scenario import antipodal, generate_random
 from swarmplan.sim import replay_outcome, run_mission
@@ -76,27 +76,40 @@ def gamma09_runs():
 
 
 def test_c1_projection_and_magnitude_match_search_oracles():
-    """Criterion 1: closed forms match grid/line searches within 1e-6 objective gap."""
+    """Criterion 1: closed forms match grid/line searches within 1e-6 objective gap.
+
+    The closed forms are the functions S2 and S3 call, on all 1000 cases
+    stacked as constraint rows: ``project_scaled`` of the differences divided
+    by the semi-axes, and ``clipped_magnitude`` with the directions
+    ``omega(alpha, beta)`` and the semi-axes as scales.
+    """
     rng = np.random.default_rng(100)
     t0 = time.monotonic()
-    worst_angle_gap = worst_mag_gap = worst_mag_err = 0.0
+    cases = []
     for _ in range(1000):
         diff = rng.normal(0.0, 1.5, 3)
         d = rng.uniform(0.1, 3.0)
         shape = EllipsoidShape(*rng.uniform(0.1, 2.0, 3))
-        alpha, beta = project_angles(diff, d, shape)
-        *_, grid_obj = grid_search_angles(diff, d, shape)
-        gap = projection_objective(diff, d, shape, alpha, beta) - grid_obj
-        worst_angle_gap = max(worst_angle_gap, gap)
-
         lo = rng.uniform(0.0, 1.5)
         hi = lo + rng.uniform(0.5, 4.0) if rng.uniform() < 0.5 else np.inf
         alpha_m, beta_m = rng.uniform(-np.pi, np.pi), rng.uniform(0, np.pi)
-        d_closed = solve_magnitude(diff, alpha_m, beta_m, shape, lo, hi)
-        d_search = ternary_search_magnitude(diff, alpha_m, beta_m, shape, lo, hi)
-        worst_mag_err = max(worst_mag_err, abs(d_closed - d_search))
-        mag_gap = magnitude_objective(diff, alpha_m, beta_m, shape, d_closed) - magnitude_objective(
-            diff, alpha_m, beta_m, shape, d_search
+        cases.append((diff, d, shape, lo, hi, alpha_m, beta_m))
+    diff, d, shape, lo, hi, alpha_m, beta_m = zip(*cases)
+    scales = np.array([s.as_array for s in shape])
+    alpha, beta = project_scaled(np.array(diff) / scales)
+    directions = omega(np.array(alpha_m), np.array(beta_m))
+    d_closed = clipped_magnitude(np.array(diff), directions, scales, np.array(lo), np.array(hi))
+
+    worst_angle_gap = worst_mag_gap = worst_mag_err = 0.0
+    for k in range(len(cases)):
+        *_, grid_obj = grid_search_angles(diff[k], d[k], shape[k])
+        gap = projection_objective(diff[k], d[k], shape[k], alpha[k], beta[k]) - grid_obj
+        worst_angle_gap = max(worst_angle_gap, gap)
+
+        d_search = ternary_search_magnitude(diff[k], alpha_m[k], beta_m[k], shape[k], lo[k], hi[k])
+        worst_mag_err = max(worst_mag_err, abs(d_closed[k] - d_search))
+        mag_gap = magnitude_objective(diff[k], alpha_m[k], beta_m[k], shape[k], d_closed[k]) - magnitude_objective(
+            diff[k], alpha_m[k], beta_m[k], shape[k], d_search
         )
         worst_mag_gap = max(worst_mag_gap, mag_gap)
     elapsed = time.monotonic() - t0
@@ -117,8 +130,8 @@ def test_c2_coefficient_update_matches_dense_qp_oracle():
         problem, rng = small_problem(seed)
         state = random_state(problem, rng)
         zeta = step_s1(problem, state)
-        A_hat = problem.Q + state.rho * problem.gram
-        zeta_oracle = dense_kkt_qp(A_hat, -s1_rhs(problem, state), problem.C, problem.e)
+        A_hat = problem.shared.Q + state.rho * problem.shared.gram
+        zeta_oracle = dense_kkt_qp(A_hat, -s1_rhs(problem, state), problem.shared.C, problem.e)
         rel = np.linalg.norm(zeta - zeta_oracle) / (1.0 + np.linalg.norm(zeta_oracle))
         worst = max(worst, rel)
     assert worst <= 1e-6

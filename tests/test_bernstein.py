@@ -1,9 +1,11 @@
+from math import comb
+
 import numpy as np
 import pytest
 
-from swarmplan.bernstein import build_basis, refit_coefficients, sample_trajectory
+from swarmplan.bernstein import build_basis, sample_trajectory
 
-from oracles import finite_difference_derivative
+from oracles import finite_difference_derivative, refit_coefficients
 
 
 def test_degree_one_basis_hits_endpoints():
@@ -24,6 +26,14 @@ def test_derivative_rows_sum_to_zero(K, n, dt):
     basis = build_basis(K, n, dt)
     np.testing.assert_allclose(basis.W1.sum(axis=1), 0.0, atol=1e-10)
     np.testing.assert_allclose(basis.W2.sum(axis=1), 0.0, atol=1e-10)
+
+
+def test_basis_weights_are_exact_binomials_past_degree_ten():
+    """At tau = 0.5 every weight of degree n is C(n, m) / 2**n exactly; a
+    float product of binomial factors misses from C(11, 5) on."""
+    for n in range(11, 21):
+        W = build_basis(21, n, 0.1).W
+        assert W[10].tolist() == [comb(n, m) / 2**n for m in range(n + 1)], n
 
 
 def test_first_derivative_matches_finite_difference():

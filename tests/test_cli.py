@@ -100,6 +100,17 @@ def test_bad_sweep_specs_are_usage_errors(spec, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_jobs_below_one(jobs, tmp_path, capsys):
+    """Used to run serially (``max(1, jobs)``)."""
+    out = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--sizes", "1", "--seeds", "0:1", "--obstacles", "0", "--out", str(out), "--jobs", jobs])
+    assert info.value.code == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_unparsable_gamma(tmp_path, capsys):
     out = tmp_path / "sweep"
     with pytest.raises(SystemExit) as info:

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
-from swarmplan.polar import EllipsoidShape, bf_lower_bound, clipped_magnitude, omega, project_angles, solve_magnitude
+from swarmplan.polar import EllipsoidShape, bf_lower_bound, clipped_magnitude, omega, project_scaled
 
 from oracles import grid_search_angles, projection_objective, ternary_search_magnitude
 
 UNIT = EllipsoidShape(1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("axes", [(np.nan, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, 0.0)])
+def test_ellipsoid_shape_rejects_non_positive_or_non_finite_semi_axes(axes):
+    """``min(a, b, c) <= 0`` let a nan semi-axis through."""
+    with pytest.raises(ValueError, match="semi-axes"):
+        EllipsoidShape(*axes)
 
 
 def test_omega_cardinal_directions():
@@ -30,25 +37,30 @@ def test_omega_keeps_the_bits_of_the_stacked_formula(n):
         assert np.array_equal(omega(a, b), np.stack([np.cos(a) * sb, np.sin(a) * sb, np.cos(b)], axis=-1))
 
 
+# The angle update is ``project_scaled`` of the differences divided by the
+# semi-axes, as S2 calls it; the magnitude update is ``clipped_magnitude``
+# with the directions ``omega(alpha, beta)`` and the semi-axes as scales, as
+# S3 calls it.
+
+
 def test_project_angles_on_semi_axes():
     shape = EllipsoidShape(0.3, 0.5, 1.2)
-    alpha, beta = project_angles(np.array([0.3, 0.0, 0.0]), 1.0, shape)
-    assert alpha == pytest.approx(0.0, abs=1e-12)
-    assert beta == pytest.approx(np.pi / 2, abs=1e-12)
-    _, beta = project_angles(np.array([0.0, 0.0, 1.2]), 1.0, shape)
-    assert beta == pytest.approx(0.0, abs=1e-12)
+    alpha, beta = project_scaled(np.array([[0.3, 0.0, 0.0], [0.0, 0.0, 1.2]]) / shape.as_array)
+    assert alpha[0] == pytest.approx(0.0, abs=1e-12)
+    assert beta[0] == pytest.approx(np.pi / 2, abs=1e-12)
+    assert beta[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_project_angles_degenerate_center():
-    alpha, beta = project_angles(np.zeros(3), 1.0, UNIT)
-    assert alpha == 0.0
-    assert beta == pytest.approx(np.pi / 2)
+    alpha, beta = project_scaled(np.zeros((1, 3)))
+    assert alpha[0] == 0.0
+    assert beta[0] == pytest.approx(np.pi / 2)
 
 
 def test_project_angles_pins_only_rows_at_the_center():
     """Among ordinary rows, only one at the center moves to the +x equator; one on the z axis keeps its pole."""
     diff = np.array([[0.3, -0.2, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, -0.7], [0.0, 0.0, 0.4]])
-    alpha, beta = project_angles(diff, 1.0, UNIT)
+    alpha, beta = project_scaled(diff)
     np.testing.assert_array_equal(alpha, np.arctan2(diff[:, 1], diff[:, 0]))
     np.testing.assert_array_equal(beta[[0, 2, 3]], np.arctan2(np.hypot(diff[:, 0], diff[:, 1]), diff[:, 2])[[0, 2, 3]])
     assert beta[1] == np.pi / 2 and beta[2] == np.pi and beta[3] == 0.0
@@ -72,30 +84,33 @@ def test_grid_search_separable_scan_matches_dense_grid():
 
 def test_project_angles_matches_grid_search():
     rng = np.random.default_rng(2)
+    cases = []
     for _ in range(100):
         diff = rng.normal(0.0, 1.5, 3)
         d = rng.uniform(0.1, 3.0)
         shape = EllipsoidShape(*rng.uniform(0.1, 2.0, 3))
-        alpha, beta = project_angles(diff, d, shape)
-        obj_closed = projection_objective(diff, d, shape, alpha, beta)
+        cases.append((diff, d, shape))
+    alpha, beta = project_scaled(np.array([diff / shape.as_array for diff, _, shape in cases]))
+    for (diff, d, shape), a, b in zip(cases, alpha, beta):
+        obj_closed = projection_objective(diff, d, shape, a, b)
         *_, obj_grid = grid_search_angles(diff, d, shape)
         assert obj_closed <= obj_grid + 1e-6
 
 
 def test_solve_magnitude_exact_polar_decomposition():
-    alpha, beta = 0.7, 1.1
-    diff = 2.0 * omega(alpha, beta)
-    assert solve_magnitude(diff, alpha, beta, UNIT, 1.0, np.inf) == pytest.approx(2.0, abs=1e-12)
+    direction = omega(np.array([0.7]), np.array([1.1]))
+    d = clipped_magnitude(2.0 * direction, direction, UNIT.as_array, 1.0, np.inf)
+    assert d[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_solve_magnitude_clips_to_lower_bound():
-    alpha, beta = -0.3, 0.9
-    diff = 0.5 * omega(alpha, beta)
-    assert solve_magnitude(diff, alpha, beta, UNIT, 1.0, np.inf) == 1.0
+    direction = omega(np.array([-0.3]), np.array([0.9]))
+    assert clipped_magnitude(0.5 * direction, direction, UNIT.as_array, 1.0, np.inf)[0] == 1.0
 
 
 def test_solve_magnitude_matches_ternary_search():
     rng = np.random.default_rng(3)
+    cases = []
     for _ in range(200):
         diff = rng.normal(0.0, 2.0, 3)
         alpha = rng.uniform(-np.pi, np.pi)
@@ -103,15 +118,20 @@ def test_solve_magnitude_matches_ternary_search():
         shape = EllipsoidShape(*rng.uniform(0.2, 2.0, 3))
         lo, width = rng.uniform(0.0, 1.5), rng.uniform(0.5, 4.0)
         hi = lo + width if rng.uniform() < 0.5 else np.inf
-        d = solve_magnitude(diff, alpha, beta, shape, lo, hi)
-        d_search = ternary_search_magnitude(diff, alpha, beta, shape, lo, hi)
-        assert abs(d - d_search) <= 1e-8
-        assert lo - 1e-15 <= d <= (hi + 1e-15 if np.isfinite(hi) else np.inf)
+        cases.append((diff, alpha, beta, shape, lo, hi))
+    diff, alpha, beta, shapes, lo, hi = zip(*cases)
+    scales = np.array([shape.as_array for shape in shapes])
+    d = clipped_magnitude(np.array(diff), omega(np.array(alpha), np.array(beta)), scales, np.array(lo), np.array(hi))
+    for row, case in enumerate(cases):
+        d_search = ternary_search_magnitude(*case)
+        assert abs(d[row] - d_search) <= 1e-8
+        assert lo[row] - 1e-15 <= d[row] <= (hi[row] + 1e-15 if np.isfinite(hi[row]) else np.inf)
 
 
 def test_solve_magnitude_degenerate_denominator_returns_lower_bound():
     tiny = EllipsoidShape(1e-7, 1e-7, 1e-7)
-    assert solve_magnitude(np.array([1.0, 0.0, 0.0]), 0.0, np.pi / 2, tiny, 0.25, np.inf) == 0.25
+    direction = omega(np.zeros(1), np.full(1, np.pi / 2))
+    assert clipped_magnitude(np.array([[1.0, 0.0, 0.0]]), direction, tiny.as_array, 0.25, np.inf)[0] == 0.25
 
 
 def test_degenerate_magnitude_row_leaves_the_other_rows_unchanged():

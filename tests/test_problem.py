@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swarmplan.bernstein import build_basis, sample_trajectory
-from swarmplan.polar import EllipsoidShape, PolarVars, omega
+from swarmplan.polar import EllipsoidShape, omega
 from swarmplan.problem import (
     GRAVITY,
     AgentSnapshot,
@@ -19,8 +19,8 @@ from conftest import cylinder_target, make_problem
 from oracles import dense_kkt_qp, reference_problem_matrices
 
 
-def target_vector(problem, polar):
-    return build_b(problem, polar, omega(polar.alpha, polar.beta))
+def target_vector(problem, alpha, beta, d):
+    return build_b(problem, d, omega(alpha, beta))
 
 
 def hover_plan(x, y, z, K=30):
@@ -83,34 +83,34 @@ def test_detect_conflicts_rejects_tracks_without_k_rows(default_config):
 def test_assemble_shapes_with_three_targets(basis30, default_config):
     targets = [cylinder_target(0.5, 0.0, 0.3), cylinder_target(-0.5, 0.2, 0.25), cylinder_target(0.0, 0.7, 0.2)]
     problem = make_problem(basis30, default_config, [-1, 0, 1], [1, 0, 1], targets)
-    assert problem.A.shape == (450, 33)
+    assert problem.shared.AT.shape == (33, 450)
     assert problem.n_rows == 150
-    assert problem.C.shape == (9, 33)
-    assert problem.G.shape == (180, 33)
+    assert problem.shared.C.shape == (9, 33)
+    assert problem.shared.G.shape == (180, 33)
 
 
 def test_assemble_shapes_without_targets(basis30, default_config):
     problem = make_problem(basis30, default_config, [-1, 0, 1], [1, 0, 1])
-    assert problem.A.shape == (180, 33)
+    assert problem.shared.AT.shape == (33, 180)
 
 
 def test_assemble_row_ordering(basis30, default_config):
     target = cylinder_target(0.4, 0.1, 0.3)
     problem = make_problem(basis30, default_config, [-1, 0, 1], [1, 0, 1], [target])
-    K = basis30.K
-    np.testing.assert_array_equal(problem.A[:K, :11], basis30.W1)
-    np.testing.assert_array_equal(problem.A[K : 2 * K, :11], basis30.W2)
-    np.testing.assert_array_equal(problem.A[2 * K : 3 * K, :11], basis30.W)
+    K, A = basis30.K, problem.shared.AT.T
+    np.testing.assert_array_equal(A[:K, :11], basis30.W1)
+    np.testing.assert_array_equal(A[K : 2 * K, :11], basis30.W2)
+    np.testing.assert_array_equal(A[2 * K : 3 * K, :11], basis30.W)
     # y-axis block sits in the middle column stripe
-    np.testing.assert_array_equal(problem.A[3 * K : 4 * K, 11:22], basis30.W1)
-    assert not problem.A[:K, 11:].any()
+    np.testing.assert_array_equal(A[3 * K : 4 * K, 11:22], basis30.W1)
+    assert not A[:K, 11:].any()
 
 
 def test_cost_minimum_sits_at_goal_when_starting_there(basis30, default_config):
     goal = np.array([0.4, -0.7, 1.2])
     snapshot = AgentSnapshot(position=goal.copy(), goal=goal.copy())
     problem = assemble(snapshot, [], basis30, default_config)
-    zeta = dense_kkt_qp(problem.Q, problem.q, problem.C, problem.e)
+    zeta = dense_kkt_qp(problem.shared.Q, problem.q, problem.shared.C, problem.e)
     pos, *_ = sample_trajectory(basis30, zeta)
     assert np.abs(pos - goal).max() < 1e-6
 
@@ -119,7 +119,7 @@ def test_build_b_zero_magnitudes(basis30, default_config):
     target = cylinder_target(0.4, 0.1, 0.3)
     problem = make_problem(basis30, default_config, [-1, 0, 1], [1, 0, 1], [target])
     K, R = basis30.K, problem.n_rows
-    b = target_vector(problem, PolarVars.zeros(R))
+    b = target_vector(problem, np.zeros(R), np.zeros(R), np.zeros(R))
     for axis in range(3):
         block = b[axis * R : (axis + 1) * R]
         assert not block[:K].any()  # velocity rows
@@ -133,11 +133,10 @@ def test_build_b_collision_rows_on_x_semi_axis(basis30, default_config):
     target = cylinder_target(0.4, 0.1, 0.3)
     problem = make_problem(basis30, default_config, [-1, 0, 1], [1, 0, 1], [target])
     K, R = basis30.K, problem.n_rows
-    polar = PolarVars.zeros(R)
-    polar.d[2 * K :] = 1.0
-    polar.alpha[2 * K :] = 0.0
-    polar.beta[2 * K :] = np.pi / 2
-    b = target_vector(problem, polar)
+    alpha, beta, d = np.zeros(R), np.zeros(R), np.zeros(R)
+    d[2 * K :] = 1.0
+    beta[2 * K :] = np.pi / 2
+    b = target_vector(problem, alpha, beta, d)
     a = target.shape.a
     centers = target.predicted_centers
     np.testing.assert_allclose(b[2 * K : 3 * K], centers[:, 0] + a, atol=1e-12)
@@ -154,57 +153,56 @@ def test_stacked_residual_matches_per_constraint_loop(basis30, default_config):
     problem = make_problem(basis30, default_config, [-1, 0, 1], [1, 0, 1], targets)
     K, R = basis30.K, problem.n_rows
     zeta = rng.normal(size=33)
-    polar = PolarVars(
-        alpha=rng.uniform(-np.pi, np.pi, R),
-        beta=rng.uniform(0, np.pi, R),
-        d=rng.uniform(0, 3, R),
-    )
-    stacked = np.linalg.norm(problem.A @ zeta - target_vector(problem, polar))
+    alpha = rng.uniform(-np.pi, np.pi, R)
+    beta = rng.uniform(0, np.pi, R)
+    d = rng.uniform(0, 3, R)
+    stacked = np.linalg.norm(problem.shared.AT.T @ zeta - target_vector(problem, alpha, beta, d))
 
     pos, vel, acc = sample_trajectory(basis30, zeta)
     total = 0.0
     for k in range(K):  # velocity rows
-        w = np.array([np.cos(polar.alpha[k]) * np.sin(polar.beta[k]),
-                      np.sin(polar.alpha[k]) * np.sin(polar.beta[k]),
-                      np.cos(polar.beta[k])])
-        total += np.sum((vel[k] - polar.d[k] * w) ** 2)
+        w = np.array([np.cos(alpha[k]) * np.sin(beta[k]),
+                      np.sin(alpha[k]) * np.sin(beta[k]),
+                      np.cos(beta[k])])
+        total += np.sum((vel[k] - d[k] * w) ** 2)
     for k in range(K):  # acceleration rows
         r = K + k
-        w = np.array([np.cos(polar.alpha[r]) * np.sin(polar.beta[r]),
-                      np.sin(polar.alpha[r]) * np.sin(polar.beta[r]),
-                      np.cos(polar.beta[r])])
-        total += np.sum((acc[k] - (-np.array([0, 0, GRAVITY]) + polar.d[r] * w)) ** 2)
+        w = np.array([np.cos(alpha[r]) * np.sin(beta[r]),
+                      np.sin(alpha[r]) * np.sin(beta[r]),
+                      np.cos(beta[r])])
+        total += np.sum((acc[k] - (-np.array([0, 0, GRAVITY]) + d[r] * w)) ** 2)
     for j, target in enumerate(targets):
         axes = target.shape.as_array
         for k in range(K):
             r = (2 + j) * K + k
-            w = np.array([np.cos(polar.alpha[r]) * np.sin(polar.beta[r]),
-                          np.sin(polar.alpha[r]) * np.sin(polar.beta[r]),
-                          np.cos(polar.beta[r])])
-            total += np.sum((pos[k] - (target.predicted_centers[k] + axes * polar.d[r] * w)) ** 2)
+            w = np.array([np.cos(alpha[r]) * np.sin(beta[r]),
+                          np.sin(alpha[r]) * np.sin(beta[r]),
+                          np.cos(beta[r])])
+            total += np.sum((pos[k] - (target.predicted_centers[k] + axes * d[r] * w)) ** 2)
     assert abs(stacked - np.sqrt(total)) < 1e-10
 
 
 def test_quadratic_cost_is_symmetric_psd(basis30, default_config):
     problem = make_problem(basis30, default_config, [-1, 0, 1], [1, 0, 1])
-    np.testing.assert_array_equal(problem.Q, problem.Q.T)
+    np.testing.assert_array_equal(problem.shared.Q, problem.shared.Q.T)
     rng = np.random.default_rng(5)
     for _ in range(200):
         v = rng.normal(size=33)
-        assert v @ problem.Q @ v >= -1e-9
+        assert v @ problem.shared.Q @ v >= -1e-9
 
 
 def test_assemble_is_deterministic(basis30, default_config):
     target = cylinder_target(0.4, 0.1, 0.3)
     p1 = make_problem(basis30, default_config, [-1, 0, 1], [1, 0, 1], [target])
     p2 = make_problem(basis30, default_config, [-1, 0, 1], [1, 0, 1], [target])
-    for name in ("Q", "q", "A", "G", "h", "C", "e"):
+    assert p1.shared is p2.shared
+    for name in ("q", "h", "e", "zeta_particular"):
         np.testing.assert_array_equal(getattr(p1, name), getattr(p2, name))
 
 
 @pytest.mark.parametrize("M", [0, 1, 3])
 def test_shared_matrices_match_per_problem_assembly(M, default_config):
-    """Every matrix a problem exposes equals, bit for bit, the one a from-scratch
+    """Every matrix a problem reads equals, bit for bit, the one a from-scratch
     assembly of that problem alone gives, on a table hit as on its first fill."""
     basis = build_basis(30, 10, 0.1)
     targets = [cylinder_target(0.4 * j, -0.3, 0.3) for j in range(M)]
@@ -221,8 +219,9 @@ def test_shared_matrices_match_per_problem_assembly(M, default_config):
     for snapshot in snapshots:
         problem = assemble(snapshot, targets, basis, default_config)
         reference = reference_problem_matrices(basis, M, problem.e, cfg.kappa, cfg.w_goal, cfg.w_smooth)
+        actual = {**vars(problem.shared), "A": problem.shared.AT.T, "zeta_particular": problem.zeta_particular}
         for name, expected in reference.items():
-            np.testing.assert_array_equal(getattr(problem, name), expected, err_msg=name)
+            np.testing.assert_array_equal(actual[name], expected, err_msg=name)
 
 
 def test_problems_on_one_basis_share_one_structure_per_conflict_count(default_config):
@@ -236,7 +235,7 @@ def test_problems_on_one_basis_share_one_structure_per_conflict_count(default_co
     # The arrays M does not change are the same arrays for every M.
     for name in ("Q", "G", "GT", "C", "null_basis", "null_basis_T", "C_pinv"):
         assert getattr(free.shared, name) is getattr(first.shared, name), name
-    assert free.AT.shape != first.AT.shape
+    assert free.shared.AT.shape != first.shared.AT.shape
     # Another basis has its own table.
     assert make_problem(build_basis(30, 10, 0.1), default_config, [-1, 0, 1], [1, 0, 1]).shared is not free.shared
 
@@ -244,13 +243,11 @@ def test_problems_on_one_basis_share_one_structure_per_conflict_count(default_co
 def test_shared_matrices_are_read_only(basis30, default_config):
     """Every agent on the basis reads the same arrays, so no problem may write to them."""
     problem = make_problem(basis30, default_config, [-1, 0, 1], [1, 0, 1], [cylinder_target(0.4, 0.1, 0.3)])
-    for name in ("Q", "A", "AT", "G", "GT", "C", "gram", "null_basis", "null_basis_T"):
+    for name in ("Q", "AT", "G", "GT", "C", "gram", "null_basis", "null_basis_T", "C_pinv"):
         with pytest.raises(ValueError, match="read-only"):
-            getattr(problem, name)[0, 0] = 1.0
-        with pytest.raises(AttributeError):
-            setattr(problem, name, np.zeros(1))
+            getattr(problem.shared, name)[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        problem.shared.C_pinv[0, 0] = 1.0
+        problem.shared.AT.T[0, 0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         problem.shared.Q = np.eye(problem.n_coeffs)
 
@@ -264,7 +261,7 @@ def test_initial_condition_rows(basis30, default_config):
     )
     problem = assemble(snapshot, [], basis30, default_config)
     np.testing.assert_allclose(problem.e, [0.1, 0.4, 0.7, 0.2, 0.5, 0.8, 0.3, 0.6, 0.9])
-    zeta = dense_kkt_qp(problem.Q, problem.q, problem.C, problem.e)
+    zeta = dense_kkt_qp(problem.shared.Q, problem.q, problem.shared.C, problem.e)
     pos, vel, acc = sample_trajectory(basis30, zeta)
     np.testing.assert_allclose(pos[0], snapshot.position, atol=1e-8)
     np.testing.assert_allclose(vel[0], snapshot.velocity, atol=1e-8)
@@ -316,10 +313,27 @@ def test_constraint_target_validation():
         ConstraintTarget("obstacle", EllipsoidShape(1, 1, 1), np.zeros((30, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_constraint_target_rejects_non_finite_centers(bad):
+    centers = np.zeros((30, 3))
+    centers[4, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ConstraintTarget("obstacle", EllipsoidShape(1, 1, 1), centers)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_planning_config_rejects_non_finite_box(bad):
+    """Both used to pass the ``p_min >= p_max`` check; an infinite box makes S1's ``h - slack`` read inf - inf."""
+    with pytest.raises(ValueError, match="finite"):
+        PlanningConfig(p_min=(bad, -1.0, 0.0), p_max=(1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        PlanningConfig(p_min=(-1.0, -1.0, 0.0), p_max=(1.0, -bad, 1.0))
+
+
 def test_build_b_rejects_mismatched_polar(basis30, default_config):
     problem = make_problem(basis30, default_config, [-1, 0, 1], [1, 0, 1])
     with pytest.raises(ValueError):
-        target_vector(problem, PolarVars.zeros(problem.n_rows + 3))
+        build_b(problem, np.zeros(problem.n_rows + 3), np.zeros((problem.n_rows, 3)))
 
 
 def test_step0_bounds_admit_measured_state(basis30, default_config):

@@ -133,6 +133,37 @@ def test_load_rejects_malformed_file(tmp_path):
         load_scenario(path)
 
 
+def test_obstacle_rejects_non_finite_center_and_velocity():
+    with pytest.raises(ScenarioError, match="finite"):
+        Obstacle(center=np.array([np.nan, 0.0, 1.0]), velocity=np.zeros(3), shape=EllipsoidShape(0.3, 0.3, 1e6))
+    with pytest.raises(ScenarioError, match="finite"):
+        Obstacle(center=np.zeros(3), velocity=np.array([0.0, np.inf, 0.0]), shape=EllipsoidShape(0.3, 0.3, 1e6))
+
+
+def test_validator_rejects_non_finite_obstacle_center_and_workspace():
+    """A nan obstacle centre used to pass, and the mission reported nan ``min_obstacle`` every round."""
+    scenario = generate_random(5, 2, 2, WS)
+    scenario.obstacles[1].center = np.array([0.0, np.nan, 1.0])
+    with pytest.raises(ScenarioError, match="obstacle 1"):
+        validate(scenario)
+    scenario = generate_random(5, 2, 0, WS)
+    scenario.workspace = (WS[0], np.array([2.0, np.inf, 2.0]))
+    with pytest.raises(ScenarioError, match="finite"):
+        validate(scenario)
+
+
+def test_load_rejects_non_finite_obstacle_center(tmp_path):
+    path = tmp_path / "nan.yaml"
+    path.write_text(
+        "workspace: {min: [-2, -2, 0], max: [2, 2, 2]}\n"
+        "agents:\n- {start: [0, 0, 1], goal: [1, 0, 1]}\n"
+        "obstacles:\n- {center: [-1, .nan, 1], shape: [0.3, 0.3, 1]}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ScenarioError, match="finite"):
+        load_scenario(path)
+
+
 def test_obstacle_prediction_is_constant_velocity():
     obstacle = Obstacle(
         center=np.array([0.0, 0.0, 1.0]),

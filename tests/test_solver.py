@@ -5,8 +5,8 @@ import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from swarmplan import sim, solver
-from swarmplan.bernstein import build_basis, refit_coefficients, sample_trajectory
-from swarmplan.polar import EllipsoidShape, PolarVars, clipped_magnitude, omega
+from swarmplan.bernstein import build_basis, sample_trajectory
+from swarmplan.polar import EllipsoidShape, clipped_magnitude, omega
 from swarmplan.problem import AgentSnapshot, ConstraintTarget, PlanningConfig, assemble, build_b
 from swarmplan.scenario import generate_random
 from swarmplan.solver import (
@@ -24,7 +24,7 @@ from swarmplan.solver import (
 )
 
 from conftest import cylinder_target, make_problem, random_full_instance
-from oracles import dense_kkt_qp, ternary_search_magnitude
+from oracles import dense_kkt_qp, refit_coefficients, ternary_search_magnitude
 
 
 def small_problem(seed=0, with_target=True):
@@ -46,12 +46,10 @@ def random_state(problem, rng, rho=None):
     """A random iterate whose target vector is built from its polar variables, as :func:`advance` builds it."""
     state = SolverState.cold(problem)
     state.zeta1 = rng.normal(size=problem.n_coeffs)
-    state.polar = PolarVars(
-        alpha=rng.uniform(-np.pi, np.pi, problem.n_rows),
-        beta=rng.uniform(0, np.pi, problem.n_rows),
-        d=rng.uniform(0, 2.5, problem.n_rows),
-    )
-    state.b = build_b(problem, state.polar, omega(state.polar.alpha, state.polar.beta))
+    state.alpha = rng.uniform(-np.pi, np.pi, problem.n_rows)
+    state.beta = rng.uniform(0, np.pi, problem.n_rows)
+    state.d = rng.uniform(0, 2.5, problem.n_rows)
+    state.b = build_b(problem, state.d, omega(state.alpha, state.beta))
     state.lam = rng.normal(size=problem.n_coeffs)
     state.slack = rng.uniform(0, 1, problem.h.size)
     state.rho = rho if rho is not None else float(rng.uniform(1, 1e4))
@@ -60,7 +58,8 @@ def random_state(problem, rng, rho=None):
 
 def s1_rhs(problem, state):
     """Right-hand side of the S1 normal equations for the state's target vector."""
-    return -problem.q + state.lam + state.rho * (problem.AT @ state.b) + state.rho * (problem.GT @ (problem.h - state.slack))
+    shared = problem.shared
+    return -problem.q + state.lam + state.rho * (shared.AT @ state.b) + state.rho * (shared.GT @ (problem.h - state.slack))
 
 
 def updated_angles(problem, state):
@@ -121,11 +120,11 @@ def test_s1_equality_feasibility_and_stationarity():
         problem, rng = small_problem(seed)
         state = random_state(problem, rng)
         zeta = step_s1(problem, state)
-        np.testing.assert_allclose(problem.C @ zeta, problem.e, atol=1e-8)
-        A_hat = problem.Q + state.rho * problem.gram
+        np.testing.assert_allclose(problem.shared.C @ zeta, problem.e, atol=1e-8)
+        A_hat = problem.shared.Q + state.rho * problem.shared.gram
         rhs = s1_rhs(problem, state)
         # Stationary along every direction that keeps C z = e.
-        stat = problem.null_basis.T @ (A_hat @ zeta - rhs)
+        stat = problem.shared.null_basis.T @ (A_hat @ zeta - rhs)
         assert np.linalg.norm(stat) <= 1e-8 * (1.0 + np.linalg.norm(rhs))
 
 
@@ -134,8 +133,8 @@ def test_s1_matches_dense_kkt_oracle():
         problem, rng = small_problem(seed)
         state = random_state(problem, rng)
         zeta = step_s1(problem, state)
-        A_hat = problem.Q + state.rho * problem.gram
-        zeta_oracle = dense_kkt_qp(A_hat, -s1_rhs(problem, state), problem.C, problem.e)
+        A_hat = problem.shared.Q + state.rho * problem.shared.gram
+        zeta_oracle = dense_kkt_qp(A_hat, -s1_rhs(problem, state), problem.shared.C, problem.e)
         assert np.linalg.norm(zeta - zeta_oracle) <= 1e-6 * (1.0 + np.linalg.norm(zeta_oracle))
 
 
@@ -149,8 +148,8 @@ def test_s1_refactors_only_when_rho_changes():
     state.rho = 3.0
     step_s1(problem, state)
     assert state.factor is not factor and state.factor[0] == 3.0
-    A_hat = problem.Q + state.rho * problem.gram
-    zeta_oracle = dense_kkt_qp(A_hat, -s1_rhs(problem, state), problem.C, problem.e)
+    A_hat = problem.shared.Q + state.rho * problem.shared.gram
+    zeta_oracle = dense_kkt_qp(A_hat, -s1_rhs(problem, state), problem.shared.C, problem.e)
     assert np.linalg.norm(step_s1(problem, state) - zeta_oracle) <= 1e-6 * (1.0 + np.linalg.norm(zeta_oracle))
 
 
@@ -203,8 +202,8 @@ def test_s1_keeps_the_bits_of_cho_solve(basis30, default_config):
             state = random_state(problem, rng, rho=rho_at(k))
             zeta = step_s1(problem, state)
             _, cho, v = state.factor
-            y = cho_solve(cho, problem.null_basis_T @ s1_rhs(problem, state) - v, check_finite=False)
-            assert np.array_equal(zeta, problem.zeta_particular + problem.null_basis @ y)
+            y = cho_solve(cho, problem.shared.null_basis_T @ s1_rhs(problem, state) - v, check_finite=False)
+            assert np.array_equal(zeta, problem.zeta_particular + problem.shared.null_basis @ y)
 
 
 def test_s1_is_constrained_minimum_of_augmented_objective():
@@ -214,17 +213,17 @@ def test_s1_is_constrained_minimum_of_augmented_objective():
 
     def objective(z):
         return (
-            0.5 * z @ problem.Q @ z
+            0.5 * z @ problem.shared.Q @ z
             + problem.q @ z
             - state.lam @ z
-            + 0.5 * state.rho * np.sum((problem.A @ z - b) ** 2)
-            + 0.5 * state.rho * np.sum((problem.G @ z - problem.h + state.slack) ** 2)
+            + 0.5 * state.rho * np.sum((problem.shared.AT.T @ z - b) ** 2)
+            + 0.5 * state.rho * np.sum((problem.shared.G @ z - problem.h + state.slack) ** 2)
         )
 
     zeta = step_s1(problem, state)
     f0 = objective(zeta)
     for _ in range(1000):
-        step = problem.null_basis @ rng.normal(0, 0.1, problem.null_basis.shape[1])
+        step = problem.shared.null_basis @ rng.normal(0, 0.1, problem.shared.null_basis.shape[1])
         assert objective(zeta + step) >= f0 - 1e-8 * (1 + abs(f0))
 
 
@@ -268,9 +267,9 @@ def test_s2_never_increases_scaled_projection_objective():
             u = (samples - problem.centers) / problem.scales
             sb = np.sin(beta)
             w = np.stack([np.cos(alpha) * sb, np.sin(alpha) * sb, np.cos(beta)], axis=1)
-            return float(np.sum((u - state.polar.d[:, None] * w) ** 2))
+            return float(np.sum((u - state.d[:, None] * w) ** 2))
 
-        before = scaled_objective(state.polar.alpha, state.polar.beta)
+        before = scaled_objective(state.alpha, state.beta)
         _, alpha_new, beta_new, _ = updated_angles(problem, state)
         after = scaled_objective(alpha_new, beta_new)
         assert after <= before + 1e-10 * (1 + before)
@@ -332,7 +331,7 @@ def test_s3_bf_uses_anchor_and_previous_iterate():
     )
     state = random_state(problem, rng)
     samples, *_, omega_rows = updated_angles(problem, state)
-    d_prev = state.polar.d[problem.col_rows].copy()
+    d_prev = state.d[problem.col_rows].copy()
     d = step_s3(problem, state, samples, omega_rows)
     K = problem.K
     gamma = 0.9
@@ -351,7 +350,7 @@ def test_s4_inside_bounds_gives_positive_slack(basis30, default_config):
     _, gz = sample_rows(problem, zeta)
     slack = step_s4(problem, gz)
     assert np.all(slack > 0)
-    np.testing.assert_allclose(slack, problem.h - problem.G @ zeta)
+    np.testing.assert_allclose(slack, problem.h - problem.shared.G @ zeta)
 
 
 def test_s4_zeroes_slack_on_violated_rows(basis30, default_config):
@@ -394,9 +393,9 @@ def test_s5_matches_direct_expression():
     state = random_state(problem, rng)
     lam, rho = state.lam.copy(), state.rho
     advance(problem, state)
-    r_eq = problem.A @ state.zeta1 - state.b
-    viol = problem.G @ state.zeta1 - problem.h + state.slack
-    expected = lam - 0.5 * rho * (problem.A.T @ r_eq) - 0.5 * rho * (problem.G.T @ viol)
+    r_eq = problem.shared.AT.T @ state.zeta1 - state.b
+    viol = problem.shared.G @ state.zeta1 - problem.h + state.slack
+    expected = lam - 0.5 * rho * (problem.shared.AT @ r_eq) - 0.5 * rho * (problem.shared.G.T @ viol)
     np.testing.assert_allclose(state.lam, expected, rtol=1e-12, atol=1e-12)
     assert state.eq_residual == pytest.approx(np.linalg.norm(r_eq), rel=1e-12)
     assert state.ineq_residual == pytest.approx(np.linalg.norm(viol), rel=1e-12, abs=1e-12)
@@ -501,6 +500,36 @@ def test_solve_nonconvergence_reports_best_iterate(basis30, default_config):
     assert np.all(np.isfinite(zeta))
 
 
+@pytest.mark.parametrize("field", ["h", "zeta_particular"])
+def test_solve_without_a_finite_iterate_raises(field, basis30, default_config):
+    """A nan problem used to run every iteration on nan and return the zero
+    cold start: for this agent, a plan whose step 1 is the origin."""
+    problem = make_problem(basis30, default_config, [0.5, 0.5, 1.0], [1.0, 0.5, 1.0])
+    setattr(problem, field, np.full_like(getattr(problem, field), np.nan))
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        solve(problem)
+
+
+def test_solve_stops_at_the_first_non_finite_residual(basis30, default_config, monkeypatch):
+    """A nan residual reaches the multipliers, so no later iterate is finite: the
+    solve stops there and returns the best finite iterate before it."""
+    problem = make_problem(basis30, default_config, [-1.5, 0, 1], [1.5, 0, 1], [cylinder_target(0.0, 0.05, 0.3)])
+    finite = []
+
+    def poisoned_after_three(problem, state):
+        advance(problem, state)
+        if state.iter <= 3:
+            finite.append((state.eq_residual + state.ineq_residual, state.zeta1))
+        if state.iter == 3:
+            problem.h = np.full_like(problem.h, np.nan)
+
+    monkeypatch.setattr(solver, "advance", poisoned_after_three)
+    zeta, diag = solve(problem, SolverConfig(maxiter=50))
+    assert diag.iterations == 4 and not diag.converged and np.isnan(diag.ineq_residual)
+    assert len(finite) == 3
+    assert zeta is min(finite, key=lambda pair: pair[0])[1]
+
+
 def test_residuals_are_the_numpy_norms(basis30, default_config):
     """``advance``'s residuals carry the bits of ``np.linalg.norm`` of ``A z - b`` and ``max(G z - h, 0)``."""
     problem, _ = random_full_instance(np.random.default_rng(9), basis30, default_config)
@@ -539,12 +568,12 @@ def test_s3_never_increases_penalty_along_solve(basis30, default_config):
     problem, _ = random_full_instance(rng, basis30, default_config)
     state = SolverState.cold(problem)
     for _ in range(40):
-        d_prev = state.polar.d
+        d_prev = state.d
         advance(problem, state)
         # The penalty at the new trajectory and angles, before and after S3 moved the magnitudes.
         samples, _ = sample_rows(problem, state.zeta1)
-        omega_rows = omega(state.polar.alpha, state.polar.beta)
-        b_before = build_b(problem, PolarVars(state.polar.alpha, state.polar.beta, d_prev), omega_rows)
+        omega_rows = omega(state.alpha, state.beta)
+        b_before = build_b(problem, d_prev, omega_rows)
         before = float(np.sum((samples.T.ravel() - b_before) ** 2))
         after = float(np.sum((samples.T.ravel() - state.b) ** 2))
         assert after <= before + 1e-9 * (1 + before)
@@ -554,7 +583,7 @@ def test_s1_singular_reduced_system_raises():
     """Validated configurations keep the reduced Hessian positive definite, so a
     singular one is an error, never silently shifted."""
     problem, _ = small_problem(0, with_target=False)
-    replace_shared_cost(problem, np.zeros_like(problem.Q))  # removes all curvature at rho = 0
+    replace_shared_cost(problem, np.zeros_like(problem.shared.Q))  # removes all curvature at rho = 0
     problem.q = np.zeros_like(problem.q)
     state = SolverState.cold(problem)
     state.rho = 0.0
