@@ -41,11 +41,6 @@ class BasisSet:
     def __post_init__(self):
         object.__setattr__(self, "W_all", np.vstack([self.W, self.W1, self.W2]))
 
-    @property
-    def duration(self) -> float:
-        """Total horizon duration ``(K - 1) * dt`` in seconds."""
-        return (self.K - 1) * self.dt
-
 
 def _basis_values(tau: np.ndarray, n: int) -> np.ndarray:
     """Degree-``n`` Bernstein basis evaluated at normalized times ``tau``."""

@@ -27,14 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from .scenario import Scenario, ScenarioError, antipodal, generate_random, load_scenario
-from .sim import MISSION_TIME_LIMIT, MODES, check_time_limit, default_planning_config, run_mission
+from .problem import PlanningConfig
+from .sim import MISSION_TIME_LIMIT, check_time_limit, default_planning_config, run_mission
 from .solver import SolverConfig
 
 CSV_COLUMNS = [
     "size",
     "seed",
     "gamma",
-    "mode",
     "success",
     "mission_time",
     "mean_compute_us",
@@ -57,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _mission_row(size: int, seed: int, gamma: float, mode: str, report) -> dict:
+def _mission_row(size: int, seed: int, gamma: float, report) -> dict:
     compute = [t for per_agent in report.per_agent_compute_us for t in per_agent]
     inter = [m for m in report.min_inter_agent if m is not None]
     obst = [m for m in report.min_obstacle if m is not None]
@@ -65,7 +65,6 @@ def _mission_row(size: int, seed: int, gamma: float, mode: str, report) -> dict:
         "size": size,
         "seed": seed,
         "gamma": gamma,
-        "mode": mode,
         "success": int(report.success),
         "mission_time": report.mission_time,
         "mean_compute_us": float(np.mean(compute)) if compute else "",
@@ -95,7 +94,6 @@ def _run_and_write(scenario: Scenario, args, time_limit: float = MISSION_TIME_LI
         scenario,
         default_planning_config(scenario, args.gamma),
         SolverConfig(maxiter=args.maxiter, threshold=args.threshold),
-        mode=args.mode,
         time_limit=time_limit,
         record_trajectory=args.dump is not None,
     )
@@ -131,10 +129,9 @@ def _run_trial(spec: dict) -> dict:
         scenario,
         default_planning_config(scenario, gamma),
         SolverConfig(maxiter=spec["maxiter"], threshold=spec["threshold"]),
-        mode=spec["mode"],
         record_trajectory=spec["dump_dir"] is not None,
     )
-    row = _mission_row(size, seed, gamma, spec["mode"], report)
+    row = _mission_row(size, seed, gamma, report)
     if spec["dump_dir"] is not None:
         stem = f"size{size}_seed{seed}_gamma{gamma:g}"
         _write_dump(report, Path(spec["dump_dir"]) / f"{stem}.traj.json")
@@ -145,9 +142,9 @@ def _run_trial(spec: dict) -> dict:
 def _aggregate(rows: list[dict]) -> list[dict]:
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        groups.setdefault((row["size"], row["gamma"], row["mode"]), []).append(row)
+        groups.setdefault((row["size"], row["gamma"]), []).append(row)
     out = []
-    for (size, gamma, mode), members in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])):
+    for (size, gamma), members in sorted(groups.items()):
         def _mean(key):
             values = [m[key] for m in members if m[key] != ""]
             return float(np.mean(values)) if values else None
@@ -156,7 +153,6 @@ def _aggregate(rows: list[dict]) -> list[dict]:
             {
                 "size": size,
                 "gamma": gamma,
-                "mode": mode,
                 "trials": len(members),
                 "success_rate": float(np.mean([m["success"] for m in members])),
                 "mean_mission_time": _mean("mission_time"),
@@ -168,14 +164,27 @@ def _aggregate(rows: list[dict]) -> list[dict]:
     return out
 
 
+def _list_of(convert):
+    """Argparse converter: one or more comma-separated values."""
+
+    def parse(text: str) -> list:
+        values = [convert(v) for v in text.split(",") if v]
+        if not values:
+            raise ValueError(f"empty list {text!r}")
+        return values
+
+    return parse
+
+
 def _parse_seeds(text: str) -> list[int]:
+    """``sweep --seeds``: a range ``lo:hi`` or a comma-separated list."""
     if ":" in text:
         lo, hi = text.split(":", 1)
         lo, hi = int(lo), int(hi)
         if hi <= lo:
             raise ValueError(f"empty seed range {text!r}")
         return list(range(lo, hi))
-    return [int(s) for s in text.split(",") if s]
+    return _list_of(int)(text)
 
 
 def _parse_workspace(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -187,17 +196,7 @@ def _parse_workspace(text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-        seeds = _parse_seeds(args.seeds)
-        ws_lo, ws_hi = _parse_workspace(args.workspace)
-        if not sizes or min(sizes) < 1:
-            raise ValueError(f"sizes must be a non-empty list of positive integers, got {args.sizes!r}")
-        if args.obstacles < 0:
-            raise ValueError(f"obstacle count must be non-negative, got {args.obstacles}")
-    except ValueError as exc:
-        print(f"invalid sweep spec: {exc}", file=sys.stderr)
-        return 1
+    ws_lo, ws_hi = args.workspace
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dump_dir = None
@@ -210,7 +209,6 @@ def cmd_sweep(args) -> int:
             "size": size,
             "seed": seed,
             "gamma": gamma,
-            "mode": args.mode,
             "obstacles": args.obstacles,
             "ws_lo": ws_lo.tolist(),
             "ws_hi": ws_hi.tolist(),
@@ -218,8 +216,8 @@ def cmd_sweep(args) -> int:
             "threshold": args.threshold,
             "dump_dir": str(dump_dir) if dump_dir else None,
         }
-        for size in sizes
-        for seed in seeds
+        for size in args.sizes
+        for seed in args.seeds
         for gamma in args.gamma
     ]
 
@@ -268,15 +266,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _gamma_list(text: str) -> list[float]:
-    """``sweep --gamma``: one or more comma-separated numbers."""
-    gammas = [float(g) for g in text.split(",") if g]
-    if not gammas:
-        raise ValueError("empty gamma list")
-    return gammas
-
-
-def _checked(convert, check):
+def _checked(convert, check=lambda value: None):
     """Argparse type: a value that ``convert`` or ``check`` rejects with ``ValueError`` is a usage error."""
 
     def parse(text: str):
@@ -290,14 +280,18 @@ def _checked(convert, check):
     return parse
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError(f"must be at least 1, got {jobs}")
+def _at_least(bound: int):
+    """Check for :func:`_checked`: an integer, or every integer of a list, is at least ``bound``."""
+
+    def check(value) -> None:
+        if min(value if isinstance(value, list) else [value]) < bound:
+            raise ValueError(f"must be at least {bound}, got {value}")
+
+    return check
 
 
 def _add_common_solver_flags(parser):
-    """``--mode``, ``--maxiter`` and ``--threshold``; each subcommand adds its own ``--gamma``."""
-    parser.add_argument("--mode", choices=MODES, default="standard")
+    """``--maxiter`` and ``--threshold``; each subcommand adds its own ``--gamma``."""
     parser.add_argument("--maxiter", type=_checked(int, lambda v: SolverConfig(maxiter=v)), default=SolverConfig.maxiter)
     threshold = _checked(float, lambda v: SolverConfig(threshold=v))
     parser.add_argument("--threshold", type=threshold, default=SolverConfig.threshold)
@@ -306,24 +300,29 @@ def _add_common_solver_flags(parser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="swarmplan", description="Swarm trajectory planning benchmark tool")
     sub = parser.add_subparsers(dest="command", required=True)
+    gamma = _checked(float, lambda g: PlanningConfig(gamma=g))
 
     p_run = sub.add_parser("run", parents=[], help="run one mission from a scenario file")
     p_run.add_argument("scenario", help="scenario YAML path")
     p_run.add_argument("--out", help="write the mission report JSON here")
     p_run.add_argument("--dump", help="write a per-round trajectory dump JSON here")
     p_run.add_argument("--time-limit", type=_checked(float, check_time_limit), default=MISSION_TIME_LIMIT)
-    p_run.add_argument("--gamma", type=float, default=1.0, help="barrier constant in [0, 1]")
+    p_run.add_argument("--gamma", type=gamma, default=1.0, help="barrier constant in [0, 1]")
     _add_common_solver_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a sizes x seeds x gamma benchmark sweep")
-    p_sweep.add_argument("--sizes", required=True, help="comma-separated swarm sizes, e.g. 10,20")
-    p_sweep.add_argument("--seeds", required=True, help="seed range lo:hi or comma list")
-    p_sweep.add_argument("--gamma", type=_gamma_list, default=[1.0], help="comma-separated gamma values")
-    p_sweep.add_argument("--obstacles", type=int, default=16)
-    p_sweep.add_argument("--workspace", default="4x4x2", help="workspace dims WxDxH in meters")
+    sizes = _checked(_list_of(int), _at_least(1))
+    p_sweep.add_argument("--sizes", type=sizes, required=True, help="comma-separated swarm sizes, e.g. 10,20")
+    seeds = _checked(_parse_seeds, _at_least(0))
+    p_sweep.add_argument("--seeds", type=seeds, required=True, help="seed range lo:hi or comma list")
+    gammas = _checked(_list_of(float), lambda gs: [PlanningConfig(gamma=g) for g in gs])
+    p_sweep.add_argument("--gamma", type=gammas, default=[1.0], help="comma-separated gamma values")
+    p_sweep.add_argument("--obstacles", type=_checked(int, _at_least(0)), default=16)
+    workspace = _checked(_parse_workspace)
+    p_sweep.add_argument("--workspace", type=workspace, default="4x4x2", help="workspace dims WxDxH in meters")
     p_sweep.add_argument("--out", required=True, help="output directory")
-    p_sweep.add_argument("--jobs", type=_checked(int, _check_jobs), default=1, help="parallel trial processes (>= 1)")
+    p_sweep.add_argument("--jobs", type=_checked(int, _at_least(1)), default=1, help="parallel trial processes (>= 1)")
     p_sweep.add_argument("--dump", action="store_true", help="also write per-trial trajectory dumps")
     _add_common_solver_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
@@ -334,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_anti.add_argument("--height", type=float, default=1.0)
     p_anti.add_argument("--out")
     p_anti.add_argument("--dump")
-    p_anti.add_argument("--gamma", type=float, default=1.0, help="barrier constant in [0, 1]")
+    p_anti.add_argument("--gamma", type=gamma, default=1.0, help="barrier constant in [0, 1]")
     _add_common_solver_flags(p_anti)
     p_anti.set_defaults(func=cmd_antipodal)
 
@@ -345,26 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _gamma_error(args) -> str | None:
-    """Why the ``--gamma`` values are unusable, or None.  ``sweep`` takes a list."""
-    if not hasattr(args, "gamma"):
-        return None
-    gammas = np.atleast_1d(args.gamma).tolist()
-    bad = [g for g in gammas if not 0.0 <= g <= 1.0]
-    if bad:
-        return f"gamma values must lie in [0, 1], got {bad}"
-    if args.mode == "standard" and any(g != 1.0 for g in gammas):
-        return "--gamma other than 1 needs --mode bf; standard mode ignores it"
-    return None
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    error = _gamma_error(args)
-    if error:
-        print(error, file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except Exception as exc:  # runtime failure

@@ -128,10 +128,12 @@ def generate_random(seed: int, n_agents: int, n_obstacles: int, workspace=None) 
 
     Obstacles are vertical cylinders with physical radius drawn uniformly
     from [0.1, 0.2] m; their stored envelope adds the agent's horizontal
-    planning radius.  Raises :class:`ScenarioError` for fewer than one agent
-    or a negative obstacle count, and when placement fails after the attempt
-    cap (overcrowded scenario).
+    planning radius.  Raises :class:`ScenarioError` for a negative seed,
+    fewer than one agent or a negative obstacle count, and when placement
+    fails after the attempt cap (overcrowded scenario).
     """
+    if seed < 0:
+        raise ScenarioError(f"the seed cannot be negative, got {seed}")
     if n_agents < 1:
         raise ScenarioError(f"need at least one agent, got {n_agents}")
     if n_obstacles < 0:

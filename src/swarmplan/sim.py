@@ -30,7 +30,6 @@ MISSION_TIME_LIMIT = 20.0
 CLOCK_TOL = 1e-9
 GOAL_TOL_POS = 0.1
 GOAL_TOL_VEL = 0.2
-MODES = ("standard", "bf")
 PLANNING_MARGIN = 0.05
 
 
@@ -106,25 +105,14 @@ def separations(
     return _row_norms((positions[i] - positions[j]) / coll_axes), _row_norms((positions - centers) / axes)
 
 
-def check_collision(
-    positions: np.ndarray,
-    obstacles: list[tuple[np.ndarray, np.ndarray]],
-    coll_axes: np.ndarray,
-    separated: tuple[np.ndarray, np.ndarray] | None = None,
-) -> list[tuple[str, str, float]]:
-    """Declared-collision test on executed states.
+def check_collision(separated: tuple[np.ndarray, np.ndarray]) -> list[tuple[str, str, float]]:
+    """Declared-collision test on the :func:`separations` of executed states.
 
-    ``coll_axes`` holds the agent declaration envelope's semi-axes and
-    ``obstacles`` carries ``(center, semi_axes)`` pairs already expressed as
-    the declaration envelope.  ``separated`` is :func:`separations` of these
-    arguments, for a caller that has it already; it is computed when
-    omitted.  Returns one ``(label_a, label_b, metric)`` entry per violating
-    pair, with metric below 1 meaning the scaled separation is inside the
-    envelope.
+    Returns one ``(label_a, label_b, metric)`` entry per pair whose scaled
+    separation is below 1, that is, inside the declaration envelope.
     """
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    pair, obstacle = separations(positions, obstacles, coll_axes) if separated is None else separated
-    i, j = np.triu_indices(positions.shape[0], 1)
+    pair, obstacle = separated
+    i, j = np.triu_indices(obstacle.shape[1], 1)
     violations = [(f"agent{i[p]}", f"agent{j[p]}", float(pair[p])) for p in np.flatnonzero(pair < 1.0)]
     for k, a in zip(*np.nonzero(obstacle < 1.0)):
         violations.append((f"agent{a}", f"obstacle{k}", float(obstacle[k, a])))
@@ -161,16 +149,17 @@ def run_mission(
     scenario: Scenario,
     planning_config: PlanningConfig | None = None,
     solver_config: SolverConfig | None = None,
-    mode: str = "standard",
+    mode: str = "bf",
     time_limit: float = MISSION_TIME_LIMIT,
     record_trajectory: bool = False,
 ) -> MissionReport:
     """Simulate one mission and return its report.
 
-    ``planning_config`` defaults to :func:`default_planning_config`.  The
-    barrier runs at ``planning_config.gamma``, whatever the mode:
-    ``"standard"`` names the plain bound, the barrier at gamma = 1, and
-    raises :class:`ValueError` with any other gamma, as an unknown mode does.
+    ``planning_config`` defaults to :func:`default_planning_config`, and the
+    barrier runs at its ``gamma``; gamma = 1 is the plain bound.  ``mode``
+    accepts only ``"bf"``, any other value raises :class:`ValueError` before
+    the first round; the keyword goes with the next change to ``perfbench/``,
+    which passes it.
     The published plans are one ``n_agents x K x 3`` array of positions.  A
     round more than ``CLOCK_TOL`` past ``time_limit`` is a timeout, even with
     every agent at its goal.  Non-convergent solves execute their best
@@ -180,10 +169,8 @@ def run_mission(
     check_time_limit(time_limit)
     if planning_config is None:
         planning_config = default_planning_config(scenario)
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "standard" and planning_config.gamma != 1.0:
-        raise ValueError(f"standard mode is the barrier at gamma = 1, got gamma = {planning_config.gamma}")
+    if mode != "bf":
+        raise ValueError(f"mode must be 'bf', got {mode!r}")
     solver_config = solver_config or SolverConfig()
     config = planning_config
     basis = build_basis(config.K, config.n, config.dt)
@@ -222,7 +209,7 @@ def run_mission(
                 }
             )
 
-        violations = check_collision(positions, declared, coll_axes, separated)
+        violations = check_collision(separated)
         if violations:
             collision_events.extend((round_index, a, b, m) for a, b, m in violations)
             break
@@ -304,7 +291,7 @@ def replay_outcome(trajectory: dict) -> dict:
         separated = pair, obstacle = separations(positions, obstacles, coll_axes)
         min_inter.append(min(pair.tolist(), default=None))
         min_obstacle.append(min(obstacle.ravel().tolist(), default=None))
-        if check_collision(positions, obstacles, coll_axes, separated):
+        if check_collision(separated):
             collision_rounds.append(r)
         at_goal = all(
             np.linalg.norm(positions[i] - goals[i]) <= tol_pos and np.linalg.norm(velocities[i]) <= tol_vel

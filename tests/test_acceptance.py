@@ -2,7 +2,7 @@
 
 The mission-level criteria share cached results: the gamma = 1 benchmark runs
 once (100 seeds) and is reused both for the success-rate criterion and as the
-baseline leg of the barrier-mode clearance comparison.  Missions run across a
+baseline leg of the gamma = 0.9 clearance comparison.  Missions run across a
 small process pool; each individual mission is deterministic.
 """
 
@@ -16,7 +16,7 @@ from swarmplan.bernstein import sample_trajectory
 from swarmplan.polar import EllipsoidShape, clipped_magnitude, omega, project_scaled
 from swarmplan.problem import PlanningConfig, assemble
 from swarmplan.scenario import antipodal, generate_random
-from swarmplan.sim import replay_outcome, run_mission
+from swarmplan.sim import default_planning_config, replay_outcome, run_mission
 from swarmplan.solver import solve, step_s1
 
 from conftest import random_full_instance
@@ -37,15 +37,10 @@ JOBS = 2
 pytestmark = pytest.mark.acceptance
 
 
-def _mission_config(scenario, gamma):
-    lo, hi = scenario.workspace
-    return PlanningConfig(gamma=gamma, p_min=tuple(lo - 0.05), p_max=tuple(hi + 0.05))
-
-
 def _benchmark_trial(args):
     seed, gamma = args
     scenario = generate_random(seed, SWARM_SIZE, N_OBSTACLES, WORKSPACE)
-    report = run_mission(scenario, _mission_config(scenario, gamma), mode="bf", record_trajectory=True)
+    report = run_mission(scenario, default_planning_config(scenario, gamma), record_trajectory=True)
     inter = [m for m in report.min_inter_agent if m is not None]
     obst = [m for m in report.min_obstacle if m is not None]
     return {
@@ -241,7 +236,7 @@ def test_c7_per_agent_compute_scales_linearly():
     for _ in range(3):
         for n in sizes:
             scenario = antipodal(n, radius=1.5, height=1.0)
-            report = run_mission(scenario, _mission_config(scenario, 0.9), mode="bf")
+            report = run_mission(scenario, default_planning_config(scenario, 0.9))
             assert report.success, f"antipodal exchange with {n} agents failed"
             times = np.array([t for per_agent in report.per_agent_compute_us for t in per_agent])
             runs[n].append(float(np.median(times)))
@@ -267,7 +262,7 @@ def test_c8_reports_are_deterministic_across_repeated_runs():
         reports = []
         for seed in range(10):
             scenario = generate_random(seed, 4, 6, WORKSPACE)
-            reports.append(run_mission(scenario, _mission_config(scenario, 1.0)).canonical_bytes())
+            reports.append(run_mission(scenario, default_planning_config(scenario, 1.0)).canonical_bytes())
         return reports
 
     first, second = run_all(), run_all()

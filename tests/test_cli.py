@@ -1,14 +1,17 @@
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from swarmplan.cli import CSV_COLUMNS, main
+from swarmplan.cli import CSV_COLUMNS, build_parser, main
 from swarmplan.scenario import generate_random, save_scenario
 from swarmplan.sim import replay_outcome
 
 WS = (np.array([-2.0, -2.0, 0.0]), np.array([2.0, 2.0, 2.0]))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture()
@@ -45,22 +48,33 @@ def test_run_report_matches_dump_recheck(scenario_file, tmp_path):
     assert (len(replay["collision_rounds"]) > 0) == (len(report["collision_events"]) > 0)
 
 
-def test_run_rejects_bad_gamma(scenario_file, capsys):
-    assert main(["run", str(scenario_file), "--gamma", "1.4"]) == 1
-
-
-def test_standard_mode_rejects_gamma_below_one(scenario_file, tmp_path, capsys):
-    """Standard mode ignores gamma, so gamma != 1 without --mode bf is a usage error."""
-    out = tmp_path / "sweep"
-    for argv in (
-        ["run", str(scenario_file), "--gamma", "0.9"],
-        ["antipodal", "--agents", "2", "--gamma", "0.9", "--mode", "standard"],
-        ["sweep", "--sizes", "2", "--seeds", "0:1", "--gamma", "1.0,0.9", "--out", str(out)],
-    ):
-        assert main(argv) == 1, argv
-        assert "--mode bf" in capsys.readouterr().err
+def test_run_rejects_bad_gamma(scenario_file, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    for gamma in ("1.4", "-0.1", "nan"):
+        for argv in (["run", str(scenario_file)], ["antipodal", "--agents", "2"]):
+            with pytest.raises(SystemExit) as info:
+                main([*argv, "--gamma", gamma, "--out", str(out)])
+            assert info.value.code == 1, argv
+            assert "--gamma" in capsys.readouterr().err
     assert not out.exists()
-    assert main(["antipodal", "--agents", "2", "--gamma", "0.9", "--mode", "bf", "--out", str(tmp_path / "bf.json")]) == 0
+
+
+def test_mode_flag_is_gone_and_gamma_alone_sets_the_barrier(scenario_file, tmp_path, capsys):
+    """``--mode`` selected no code path and is no longer a flag, so an old
+    invocation is a usage error; ``--gamma`` below 1 runs without it."""
+    out = tmp_path / "out"
+    for argv in (
+        ["run", str(scenario_file), "--out", str(out)],
+        ["antipodal", "--agents", "2", "--out", str(out)],
+        ["sweep", "--sizes", "1", "--seeds", "0:1", "--obstacles", "0", "--out", str(out)],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--mode", "bf"])
+        assert info.value.code == 1, argv
+        assert "--mode" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["run", str(scenario_file), "--gamma", "0.9", "--out", str(tmp_path / "run.json")]) == 0
+    assert main(["antipodal", "--agents", "2", "--gamma", "0.9", "--out", str(tmp_path / "anti.json")]) == 0
 
 
 @pytest.mark.parametrize("flag", [["--maxiter", "0"], ["--threshold", "-1"], ["--threshold", "nan"]])
@@ -89,14 +103,30 @@ def test_run_rejects_bad_time_limit(limit, scenario_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "spec", [["--sizes", "0"], ["--workspace", "nanx4x2"], ["--workspace", "infx4x2"], ["--obstacles", "-3"]]
+    "spec",
+    [
+        ["--sizes", "0"],
+        ["--workspace", "nanx4x2"],
+        ["--workspace", "infx4x2"],
+        ["--obstacles", "-3"],
+        ["--sizes", ","],
+        ["--seeds", ","],
+        ["--seeds=-2:-1"],
+        ["--seeds", "3,-1"],
+        ["--gamma", "1.0,1.4"],
+        ["--gamma", "nan"],
+    ],
 )
 def test_bad_sweep_specs_are_usage_errors(spec, tmp_path, capsys):
     """Each used to run: a zero size or a non-finite workspace failed every
-    trial (exit 2, empty trials.csv), and a negative obstacle count ran as 0."""
+    trial (exit 2, empty trials.csv), a negative obstacle count ran as 0, a
+    negative seed failed every trial and an empty seed list ran nothing and
+    exited 0.  Argparse rejects each and names its flag."""
     out = tmp_path / "sweep"
-    assert main(["sweep", "--sizes", "2", "--seeds", "0:1", "--obstacles", "2", "--out", str(out), *spec]) == 1
-    assert "invalid sweep spec" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--sizes", "2", "--seeds", "0:1", "--obstacles", "2", "--out", str(out), *spec])
+    assert info.value.code == 1
+    assert f"argument {spec[0].split('=')[0]}:" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -176,7 +206,11 @@ def test_sweep_metrics_recomputable_from_dumps(tmp_path):
 
 
 def test_sweep_invalid_seed_range(tmp_path, capsys):
-    assert main(["sweep", "--sizes", "2", "--seeds", "5:5", "--out", str(tmp_path / "x")]) == 1
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--sizes", "2", "--seeds", "5:5", "--out", str(tmp_path / "x")])
+    assert info.value.code == 1
+    assert "argument --seeds: empty seed range" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_validate_scenario_exit_codes(scenario_file, tmp_path, capsys):
@@ -220,3 +254,13 @@ def test_antipodal_subcommand(tmp_path):
 
 def test_antipodal_rejects_one_agent(capsys):
     assert main(["antipodal", "--agents", "1"]) == 1
+
+
+def test_readme_examples_parse():
+    """Every ``swarmplan ...`` example line of README.md parses, so the docs
+    advertise no removed or misspelt flag.  Nothing runs."""
+    text = README.read_text(encoding="utf-8").replace("\\\n", " ")
+    examples = [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("swarmplan ")]
+    assert len(examples) == 4
+    for argv in examples:
+        build_parser().parse_args(argv)

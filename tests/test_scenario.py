@@ -52,6 +52,13 @@ def test_generator_rejects_negative_obstacle_count():
     assert generate_random(0, 2, 0).obstacles == []
 
 
+def test_generator_rejects_negative_seed():
+    """A negative seed used to raise numpy's bare ``ValueError`` from ``PCG64``."""
+    with pytest.raises(ScenarioError, match="seed"):
+        generate_random(-1, 2, 0)
+    assert generate_random(0, 2, 0).seed == 0
+
+
 def test_antipodal_two_agents():
     scenario = antipodal(2, radius=1.5, height=1.0)
     (s0, g0), (s1, g1) = scenario.agents

@@ -13,6 +13,7 @@ from swarmplan.sim import (
     default_planning_config,
     replay_outcome,
     run_mission,
+    separations,
 )
 from swarmplan.solver import SolverConfig
 
@@ -40,13 +41,13 @@ def test_mission_already_at_goal_succeeds_immediately():
 
 
 def test_run_mission_rejects_bad_mode_before_round_zero():
-    """The mode is checked before the first round, so a mission that is over at
-    round 0 still reports an unknown mode, or standard mode with gamma != 1."""
+    """``mode="bf"``, the keyword the benchmark harness passes, is the only
+    mode left; any other, the old ``"standard"`` too, is rejected before the
+    first round, even for a mission that is over at round 0."""
     scenario = Scenario(seed=0, agents=[(np.array([0.3, 0.2, 1.0]), np.array([0.3, 0.2, 1.0]))], workspace=WS)
-    with pytest.raises(ValueError, match="mode must be one of"):
-        run_mission(scenario, mode="barrier")
-    with pytest.raises(ValueError, match="gamma = 1"):
-        run_mission(scenario, PlanningConfig(gamma=0.9), mode="standard")
+    for mode in ("standard", "barrier"):
+        with pytest.raises(ValueError, match="mode must be 'bf'"):
+            run_mission(scenario, mode=mode)
     assert run_mission(scenario, PlanningConfig(gamma=0.9), mode="bf").success
 
 
@@ -79,9 +80,9 @@ def test_two_agent_antipodal_exchange_succeeds_cleanly():
 
 def test_check_collision_threshold_cases():
     positions = np.array([[0.0, 0, 1.0], [0.14, 0, 1.0]])
-    assert check_collision(positions, [], COLL.as_array) == []
+    assert check_collision(separations(positions, [], COLL.as_array)) == []
     positions[1, 0] = 0.10
-    violations = check_collision(positions, [], COLL.as_array)
+    violations = check_collision(separations(positions, [], COLL.as_array))
     assert len(violations) == 1 and violations[0][:2] == ("agent0", "agent1")
 
 
@@ -92,7 +93,7 @@ def test_check_collision_matches_brute_force():
         obstacles = [
             (rng.uniform([-0.5, -0.5, 0.5], [0.5, 0.5, 1.5]), rng.uniform(0.1, 0.5, 3)) for _ in range(3)
         ]
-        got = {v[:2] for v in check_collision(positions, obstacles, COLL.as_array)}
+        got = {v[:2] for v in check_collision(separations(positions, obstacles, COLL.as_array))}
         expected = set(brute_force_collisions(positions, obstacles, COLL.as_array))
         assert got == expected
 

@@ -184,7 +184,7 @@ def test_run_mission_factors_once_per_conflict_count_and_penalty(monkeypatch):
         return solve(problem, *args, **kwargs)
 
     monkeypatch.setattr(sim, "solve", counting_solve)
-    report = sim.run_mission(generate_random(1, 4, 4), mode="bf")
+    report = sim.run_mission(generate_random(1, 4, 4))
     penalties = {rho_at(k) for k in range(SolverConfig().maxiter)}
     assert len(penalties) == 52
     assert report.rounds > 0 and len(conflict_counts) > 1
