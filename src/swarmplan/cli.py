@@ -20,16 +20,13 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .scenario import Scenario, ScenarioError, antipodal, generate_random, load_scenario
 from .problem import PlanningConfig
-from .sim import MISSION_TIME_LIMIT, check_time_limit, default_planning_config, run_mission
-from .solver import SolverConfig
+from .sim import default_planning_config, run_mission
 
 CSV_COLUMNS = [
     "size",
@@ -88,15 +85,10 @@ def _write_dump(report, path) -> None:
     Path(path).write_text(json.dumps(report.trajectory, sort_keys=True), encoding="utf-8")
 
 
-def _run_and_write(scenario: Scenario, args, time_limit: float = MISSION_TIME_LIMIT):
-    """Run one mission from the solver flags; write its report (``--out`` or stdout) and ``--dump``."""
-    report = run_mission(
-        scenario,
-        default_planning_config(scenario, args.gamma),
-        SolverConfig(maxiter=args.maxiter, threshold=args.threshold),
-        time_limit=time_limit,
-        record_trajectory=args.dump is not None,
-    )
+def _run_and_write(scenario: Scenario, args):
+    """Run one mission at ``--gamma``; write its report (``--out`` or stdout) and ``--dump``."""
+    config = default_planning_config(scenario, args.gamma)
+    report = run_mission(scenario, config, record_trajectory=args.dump is not None)
     if args.out:
         _write_report(report, args.out)
     else:
@@ -112,7 +104,7 @@ def cmd_run(args) -> int:
     except (OSError, ScenarioError) as exc:
         print(f"cannot load scenario: {exc}", file=sys.stderr)
         return 1
-    report = _run_and_write(scenario, args, args.time_limit)
+    report = _run_and_write(scenario, args)
     print(
         f"success={report.success} mission_time={report.mission_time:.1f}s "
         f"rounds={report.rounds} collisions={len(report.collision_events)}",
@@ -125,12 +117,8 @@ def _run_trial(spec: dict) -> dict:
     size, seed, gamma = spec["size"], spec["seed"], spec["gamma"]
     workspace = (np.asarray(spec["ws_lo"]), np.asarray(spec["ws_hi"]))
     scenario = generate_random(seed, size, spec["obstacles"], workspace)
-    report = run_mission(
-        scenario,
-        default_planning_config(scenario, gamma),
-        SolverConfig(maxiter=spec["maxiter"], threshold=spec["threshold"]),
-        record_trajectory=spec["dump_dir"] is not None,
-    )
+    config = default_planning_config(scenario, gamma)
+    report = run_mission(scenario, config, record_trajectory=spec["dump_dir"] is not None)
     row = _mission_row(size, seed, gamma, report)
     if spec["dump_dir"] is not None:
         stem = f"size{size}_seed{seed}_gamma{gamma:g}"
@@ -212,8 +200,6 @@ def cmd_sweep(args) -> int:
             "obstacles": args.obstacles,
             "ws_lo": ws_lo.tolist(),
             "ws_hi": ws_hi.tolist(),
-            "maxiter": args.maxiter,
-            "threshold": args.threshold,
             "dump_dir": str(dump_dir) if dump_dir else None,
         }
         for size in args.sizes
@@ -224,11 +210,11 @@ def cmd_sweep(args) -> int:
     rows = []
     failures = 0
     # A failed trial is reported and counted, and the other trials still run.
-    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
-        results = [pool.submit(_run_trial, spec).result if pool else partial(_run_trial, spec) for spec in specs]
-        for spec, result in zip(specs, results):
+    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        futures = [pool.submit(_run_trial, spec) for spec in specs]
+        for spec, future in zip(specs, futures):
             try:
-                rows.append(result())
+                rows.append(future.result())
             except Exception as exc:
                 failures += 1
                 print(f"trial {spec['size']}/{spec['seed']}/{spec['gamma']} failed: {exc}", file=sys.stderr)
@@ -290,25 +276,24 @@ def _at_least(bound: int):
     return check
 
 
-def _add_common_solver_flags(parser):
-    """``--maxiter`` and ``--threshold``; each subcommand adds its own ``--gamma``."""
-    parser.add_argument("--maxiter", type=_checked(int, lambda v: SolverConfig(maxiter=v)), default=SolverConfig.maxiter)
-    threshold = _checked(float, lambda v: SolverConfig(threshold=v))
-    parser.add_argument("--threshold", type=threshold, default=SolverConfig.threshold)
+def _parent_exists(path: str) -> None:
+    """Check for :func:`_checked`: an output file's directory exists, so the mission is not run for nothing."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise ValueError(f"no such directory: {parent}")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="swarmplan", description="Swarm trajectory planning benchmark tool")
     sub = parser.add_subparsers(dest="command", required=True)
     gamma = _checked(float, lambda g: PlanningConfig(gamma=g))
+    out_file = _checked(str, _parent_exists)
 
     p_run = sub.add_parser("run", parents=[], help="run one mission from a scenario file")
     p_run.add_argument("scenario", help="scenario YAML path")
-    p_run.add_argument("--out", help="write the mission report JSON here")
-    p_run.add_argument("--dump", help="write a per-round trajectory dump JSON here")
-    p_run.add_argument("--time-limit", type=_checked(float, check_time_limit), default=MISSION_TIME_LIMIT)
+    p_run.add_argument("--out", type=out_file, help="write the mission report JSON here")
+    p_run.add_argument("--dump", type=out_file, help="write a per-round trajectory dump JSON here")
     p_run.add_argument("--gamma", type=gamma, default=1.0, help="barrier constant in [0, 1]")
-    _add_common_solver_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a sizes x seeds x gamma benchmark sweep")
@@ -324,17 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--jobs", type=_checked(int, _at_least(1)), default=1, help="parallel trial processes (>= 1)")
     p_sweep.add_argument("--dump", action="store_true", help="also write per-trial trajectory dumps")
-    _add_common_solver_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_anti = sub.add_parser("antipodal", help="run a circle position-exchange mission")
     p_anti.add_argument("--agents", type=int, required=True)
     p_anti.add_argument("--radius", type=float, default=1.5)
     p_anti.add_argument("--height", type=float, default=1.0)
-    p_anti.add_argument("--out")
-    p_anti.add_argument("--dump")
+    p_anti.add_argument("--out", type=out_file)
+    p_anti.add_argument("--dump", type=out_file)
     p_anti.add_argument("--gamma", type=gamma, default=1.0, help="barrier constant in [0, 1]")
-    _add_common_solver_flags(p_anti)
     p_anti.set_defaults(func=cmd_antipodal)
 
     p_val = sub.add_parser("validate-scenario", help="validate a scenario file")

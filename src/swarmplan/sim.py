@@ -23,7 +23,7 @@ import numpy as np
 from .bernstein import build_basis, sample_trajectory
 from .problem import AgentSnapshot, PlanningConfig, assemble, detect_conflicts
 from .scenario import Obstacle, Scenario
-from .solver import SolverConfig, solve
+from .solver import solve
 
 MISSION_TIME_LIMIT = 20.0
 # round * dt can round above the exact clock (12 * 0.1 = 1.2000000000000002).
@@ -139,18 +139,10 @@ def default_planning_config(scenario: Scenario, gamma: float = 1.0) -> PlanningC
     return PlanningConfig(gamma=gamma, p_min=tuple(lo - PLANNING_MARGIN), p_max=tuple(hi + PLANNING_MARGIN))
 
 
-def check_time_limit(time_limit: float) -> None:
-    """Raise :class:`ValueError` unless ``time_limit`` is a finite, non-negative number of seconds."""
-    if not 0.0 <= time_limit < np.inf:
-        raise ValueError(f"time limit must be a finite, non-negative number of seconds, got {time_limit}")
-
-
 def run_mission(
     scenario: Scenario,
     planning_config: PlanningConfig | None = None,
-    solver_config: SolverConfig | None = None,
     mode: str = "bf",
-    time_limit: float = MISSION_TIME_LIMIT,
     record_trajectory: bool = False,
 ) -> MissionReport:
     """Simulate one mission and return its report.
@@ -161,17 +153,14 @@ def run_mission(
     the first round; the keyword goes with the next change to ``perfbench/``,
     which passes it.
     The published plans are one ``n_agents x K x 3`` array of positions.  A
-    round more than ``CLOCK_TOL`` past ``time_limit`` is a timeout, even with
-    every agent at its goal.  Non-convergent solves execute their best
-    iterate and are only counted, never treated as mission failures.  A
-    negative or non-finite ``time_limit`` raises :class:`ValueError`.
+    round more than ``CLOCK_TOL`` past ``MISSION_TIME_LIMIT`` is a timeout,
+    even with every agent at its goal.  Non-convergent solves execute their
+    best iterate and are only counted, never treated as mission failures.
     """
-    check_time_limit(time_limit)
     if planning_config is None:
         planning_config = default_planning_config(scenario)
     if mode != "bf":
         raise ValueError(f"mode must be 'bf', got {mode!r}")
-    solver_config = solver_config or SolverConfig()
     config = planning_config
     basis = build_basis(config.K, config.n, config.dt)
     K, dt = config.K, config.dt
@@ -213,7 +202,7 @@ def run_mission(
         if violations:
             collision_events.extend((round_index, a, b, m) for a, b, m in violations)
             break
-        if round_index * dt > time_limit + CLOCK_TOL:
+        if round_index * dt > MISSION_TIME_LIMIT + CLOCK_TOL:
             timeout = True
             break
         if all(check_goal_reached(s) for s in snapshots):
@@ -230,7 +219,7 @@ def run_mission(
             t0 = time.perf_counter()
             targets = detect_conflicts(shifted[i], neighbor_plans, obstacle_tracks)
             problem = assemble(snapshots[i], targets, basis, config)
-            zeta, diag = solve(problem, solver_config)
+            zeta, diag = solve(problem)
             per_agent_compute[i].append((time.perf_counter() - t0) * 1e6)
             pos, vel, acc = sample_trajectory(basis, zeta)
             nonconverged += not diag.converged
@@ -254,7 +243,7 @@ def run_mission(
     if record_trajectory:
         report.trajectory = {
             "dt": dt,
-            "time_limit": time_limit,
+            "time_limit": MISSION_TIME_LIMIT,
             "goal_tol_pos": GOAL_TOL_POS,
             "goal_tol_vel": GOAL_TOL_VEL,
             "goals": [g.tolist() for _, g in scenario.agents],

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import cho_factor
@@ -61,16 +62,10 @@ def rho_at(iteration: int) -> float:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration cap and convergence threshold on the combined residual."""
+    """Iteration cap and convergence threshold on the combined residual: constants of every solve."""
 
-    maxiter: int = 2000
-    threshold: float = 0.01
-
-    def __post_init__(self):
-        if self.maxiter < 1:
-            raise ValueError(f"maxiter must be >= 1, got {self.maxiter}")
-        if not self.threshold > 0:  # also rejects nan
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
+    maxiter: ClassVar[int] = 2000
+    threshold: ClassVar[float] = 0.01
 
 
 @dataclass
@@ -257,7 +252,7 @@ def advance(problem: PlanningProblem, state: SolverState) -> None:
     state.rho = rho_at(state.iter)
 
 
-def solve(problem: PlanningProblem, config: SolverConfig | None = None) -> tuple[np.ndarray, SolveDiagnostics]:
+def solve(problem: PlanningProblem) -> tuple[np.ndarray, SolveDiagnostics]:
     """Run the alternating updates from a cold start until the residual settles or the iteration cap.
 
     Step-0 rows admit the measured state (see
@@ -270,7 +265,6 @@ def solve(problem: PlanningProblem, config: SolverConfig | None = None) -> tuple
     iterate before it is returned; if there is none, :class:`FloatingPointError`
     is raised, since the zero cold start is no plan.
     """
-    config = config or SolverConfig()
     state = SolverState.cold(problem)
     best_zeta = state.zeta1
     best_residual = np.inf
@@ -278,7 +272,7 @@ def solve(problem: PlanningProblem, config: SolverConfig | None = None) -> tuple
     polish_iters = 0
     floor_hits = 0
 
-    while state.iter < config.maxiter:
+    while state.iter < SolverConfig.maxiter:
         advance(problem, state)
         residual = state.eq_residual + state.ineq_residual
         if not math.isfinite(residual):
@@ -288,7 +282,7 @@ def solve(problem: PlanningProblem, config: SolverConfig | None = None) -> tuple
             best_zeta = state.zeta1
         if converged:
             polish_iters += 1
-        if residual < config.threshold:
+        if residual < SolverConfig.threshold:
             converged = True
         if residual < RESIDUAL_FLOOR:
             floor_hits += 1

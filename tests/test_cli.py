@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from swarmplan import cli
 from swarmplan.cli import CSV_COLUMNS, build_parser, main
 from swarmplan.scenario import generate_random, save_scenario
 from swarmplan.sim import replay_outcome
@@ -77,29 +78,40 @@ def test_mode_flag_is_gone_and_gamma_alone_sets_the_barrier(scenario_file, tmp_p
     assert main(["antipodal", "--agents", "2", "--gamma", "0.9", "--out", str(tmp_path / "anti.json")]) == 0
 
 
-@pytest.mark.parametrize("flag", [["--maxiter", "0"], ["--threshold", "-1"], ["--threshold", "nan"]])
+@pytest.mark.parametrize("flag", [["--maxiter", "2000"], ["--threshold", "0.01"], ["--time-limit", "20"]])
 def test_bad_solver_flags_are_usage_errors(flag, scenario_file, tmp_path, capsys):
-    out = tmp_path / "sweep"
-    for argv in (
-        ["run", str(scenario_file)],
-        ["antipodal", "--agents", "2"],
-        ["sweep", "--sizes", "2", "--seeds", "0:1", "--out", str(out)],
-    ):
+    """The solve's iteration cap and threshold and the mission clock are
+    constants, so ``--maxiter`` and ``--threshold`` (on every subcommand) and
+    ``--time-limit`` (on ``run``) are usage errors, even at their old defaults."""
+    out = tmp_path / "out"
+    subcommands = [
+        ["run", str(scenario_file), "--out", str(out)],
+        ["antipodal", "--agents", "2", "--out", str(out)],
+        ["sweep", "--sizes", "1", "--seeds", "0:1", "--obstacles", "0", "--out", str(out)],
+    ]
+    for argv in subcommands[:1] if flag[0] == "--time-limit" else subcommands:
         with pytest.raises(SystemExit) as info:
-            main(argv + flag)
+            main([*argv, *flag])
         assert info.value.code == 1, argv
         assert flag[0] in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("limit", ["-1", "nan", "inf"])
-def test_run_rejects_bad_time_limit(limit, scenario_file, tmp_path, capsys):
+def test_output_paths_are_checked_before_the_mission_runs(scenario_file, tmp_path, capsys, monkeypatch):
+    """An ``--out`` or ``--dump`` file in a missing directory is a usage error
+    before round 0.  It used to run the whole mission and then exit 2; a bad
+    ``--dump`` beside a good ``--out`` also left the report behind."""
+    missions = []
+    monkeypatch.setattr(cli, "run_mission", lambda *args, **kwargs: missions.append(args))
     out = tmp_path / "report.json"
-    with pytest.raises(SystemExit) as info:
-        main(["run", str(scenario_file), "--time-limit", limit, "--out", str(out)])
-    assert info.value.code == 1
-    assert "--time-limit" in capsys.readouterr().err
-    assert not out.exists()
+    missing = str(tmp_path / "nodir" / "file.json")
+    for argv in (["run", str(scenario_file)], ["antipodal", "--agents", "2"]):
+        for flags in (["--out", missing], ["--dump", missing, "--out", str(out)]):
+            with pytest.raises(SystemExit) as info:
+                main([*argv, *flags])
+            assert info.value.code == 1, flags
+            assert f"argument {flags[0]}: no such directory" in capsys.readouterr().err
+    assert not missions and not out.exists()
 
 
 @pytest.mark.parametrize(

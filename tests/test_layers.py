@@ -23,13 +23,14 @@ def load_spans():
     return module
 
 
-def test_every_layer_boundary_is_found_and_called():
+def test_every_layer_boundary_is_found_and_called(monkeypatch):
     spans = load_spans()
     calls = spans.layer_calls(sim, solver)
     assert len(calls) == 12
     tracer = spans.Tracer()
+    monkeypatch.setattr(sim, "MISSION_TIME_LIMIT", 0.3)
     with spans.patched([(module, attr, tracer.wrap(name, getattr(module, attr))) for module, attr, name in calls]):
-        sim.run_mission(generate_random(1, 4, 4), mode="bf", time_limit=0.3)
+        sim.run_mission(generate_random(1, 4, 4), mode="bf")
     counts = np.bincount(tracer.arrays()["name_id"], minlength=len(tracer.names))
     called = {name for name, count in zip(tracer.names, counts) if count}
     assert called == {name for *_, name in calls}

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from swarmplan import sim
 from swarmplan.polar import EllipsoidShape
 from swarmplan.problem import GRAVITY, AgentSnapshot, PlanningConfig
 from swarmplan.scenario import Obstacle, Scenario, antipodal, generate_random
@@ -49,17 +50,6 @@ def test_run_mission_rejects_bad_mode_before_round_zero():
         with pytest.raises(ValueError, match="mode must be 'bf'"):
             run_mission(scenario, mode=mode)
     assert run_mission(scenario, PlanningConfig(gamma=0.9), mode="bf").success
-
-
-@pytest.mark.parametrize("time_limit", [-1.0, float("nan"), float("inf")])
-def test_run_mission_rejects_bad_time_limit_before_round_zero(time_limit):
-    """A negative limit used to end the mission at round 0 as a timeout, and a
-    NaN one disabled the clock; both, and an infinite one, are errors even for
-    a mission that is over at round 0.  A zero limit is a valid clock."""
-    scenario = Scenario(seed=0, agents=[(np.array([0.3, 0.2, 1.0]), np.array([0.3, 0.2, 1.0]))], workspace=WS)
-    with pytest.raises(ValueError, match="time limit"):
-        run_mission(scenario, time_limit=time_limit)
-    assert run_mission(scenario, time_limit=0.0).success
 
 
 def test_mission_with_coincident_agents_declares_collision_at_round_zero():
@@ -145,9 +135,11 @@ def test_executed_kinematics_respect_bounds_on_success():
         assert thrust.min() >= config.f_min - 0.05 * GRAVITY
 
 
-def test_nonconverged_solves_execute_best_iterate_without_failing():
+def test_nonconverged_solves_execute_best_iterate_without_failing(monkeypatch):
+    monkeypatch.setattr(SolverConfig, "maxiter", 2)
+    monkeypatch.setattr(sim, "MISSION_TIME_LIMIT", 2.0)
     scenario = two_agent_scenario([-1.0, 0.0, 1.0], [1.0, 0.05, 1.0], [1.0, 0.0, 1.0], [-1.0, 0.05, 1.0])
-    report = run_mission(scenario, solver_config=SolverConfig(maxiter=2), time_limit=2.0)
+    report = run_mission(scenario)
     assert report.nonconverged_solves > 0
     assert report.rounds > 0
 
@@ -163,13 +155,14 @@ def test_replay_outcome_matches_report():
         assert replay["min_obstacle"] == report.min_obstacle
 
 
-def test_success_needs_the_goal_within_the_time_limit():
+def test_success_needs_the_goal_within_the_time_limit(monkeypatch):
     """The agent reaches its goal at round 34, when the clock reads
     34 * 0.1 = 3.4000000000000004 s: past a 3.35 s limit, inside a 3.4 s one.
     The report and the replay of its dump agree in both cases."""
     scenario = Scenario(seed=0, agents=[(np.array([0.0, 0, 1.0]), np.array([0.5, 0, 1.0]))], workspace=WS)
     for time_limit, inside in ((3.35, False), (3.4, True)):
-        report = run_mission(scenario, time_limit=time_limit, record_trajectory=True)
+        monkeypatch.setattr(sim, "MISSION_TIME_LIMIT", time_limit)
+        report = run_mission(scenario, record_trajectory=True)
         assert report.rounds == 34
         assert report.success == inside and report.timeout == (not inside)
         assert replay_outcome(report.trajectory)["success"] == inside
@@ -205,7 +198,8 @@ def test_report_serialization_excludes_timing_in_canonical_bytes():
     assert "per_agent_compute_us" in report.to_record(include_timing=True)
 
 
-def test_moving_obstacle_advances_each_round():
+def test_moving_obstacle_advances_each_round(monkeypatch):
+    monkeypatch.setattr(sim, "MISSION_TIME_LIMIT", 1.0)
     obstacle = Obstacle(
         center=np.array([2.0, 0.0, 1.0]),
         velocity=np.array([-0.5, 0.0, 0.0]),
@@ -217,7 +211,7 @@ def test_moving_obstacle_advances_each_round():
         obstacles=[obstacle],
         workspace=WS,
     )
-    report = run_mission(scenario, record_trajectory=True, time_limit=1.0)
+    report = run_mission(scenario, record_trajectory=True)
     rounds = report.trajectory["rounds"]
     assert report.success  # agent already at its goal
     # ensure the recorded first-round obstacle center matches the scenario

@@ -491,10 +491,11 @@ def test_solve_converges_from_state_outside_speed_and_thrust_bands(basis30, defa
     assert diag.converged
 
 
-def test_solve_nonconvergence_reports_best_iterate(basis30, default_config):
+def test_solve_nonconvergence_reports_best_iterate(basis30, default_config, monkeypatch):
+    monkeypatch.setattr(SolverConfig, "maxiter", 5)
     target = cylinder_target(0.0, 0.05, 0.3)
     problem = make_problem(basis30, default_config, [-1.5, 0, 1], [1.5, 0, 1], [target])
-    zeta, diag = solve(problem, config=SolverConfig(maxiter=5))
+    zeta, diag = solve(problem)
     assert not diag.converged
     assert diag.iterations == 5
     assert np.all(np.isfinite(zeta))
@@ -524,7 +525,8 @@ def test_solve_stops_at_the_first_non_finite_residual(basis30, default_config, m
             problem.h = np.full_like(problem.h, np.nan)
 
     monkeypatch.setattr(solver, "advance", poisoned_after_three)
-    zeta, diag = solve(problem, SolverConfig(maxiter=50))
+    monkeypatch.setattr(SolverConfig, "maxiter", 50)
+    zeta, diag = solve(problem)
     assert diag.iterations == 4 and not diag.converged and np.isnan(diag.ineq_residual)
     assert len(finite) == 3
     assert zeta is min(finite, key=lambda pair: pair[0])[1]
@@ -546,11 +548,15 @@ def test_penalty_schedule_is_capped_past_any_iteration():
     ``1.3**2706`` overflows, so the cap must not be computed from it."""
     assert [rho_at(k) for k in range(2706)] == [min(solver.RHO_BASE**k, solver.RHO_CAP) for k in range(2706)]
     assert rho_at(2706) == solver.RHO_CAP and rho_at(10**6) == solver.RHO_CAP
+    assert rho_at(0) == 1.0
+    assert rho_at(100) == 5e5
 
 
-def test_solve_runs_past_the_float_range_of_the_schedule(basis30, default_config):
+def test_solve_runs_past_the_float_range_of_the_schedule(basis30, default_config, monkeypatch):
+    monkeypatch.setattr(SolverConfig, "maxiter", 3000)
+    monkeypatch.setattr(SolverConfig, "threshold", 1e-300)
     problem = make_problem(basis30, default_config, [-1.5, 0, 1], [1.5, 0, 1])
-    zeta, diag = solve(problem, SolverConfig(maxiter=3000, threshold=1e-300))
+    zeta, diag = solve(problem)
     assert diag.iterations == 3000 and not diag.converged
     assert np.all(np.isfinite(zeta))
 
@@ -589,12 +595,3 @@ def test_s1_singular_reduced_system_raises():
     state.rho = 0.0
     with pytest.raises(LinAlgError):
         step_s1(problem, state)
-
-
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(maxiter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(threshold=0.0)
-    assert rho_at(0) == 1.0
-    assert rho_at(100) == 5e5
