@@ -97,6 +97,18 @@ def test_bad_solver_flags_are_usage_errors(flag, scenario_file, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("limit", ["-1", "nan", "inf"])
+def test_run_rejects_bad_time_limit(limit, scenario_file, tmp_path, capsys):
+    """The mission clock is a constant, so any ``--time-limit`` is a usage
+    error that names the flag and writes nothing."""
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as info:
+        main(["run", str(scenario_file), "--time-limit", limit, "--out", str(out)])
+    assert info.value.code == 1
+    assert "--time-limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_output_paths_are_checked_before_the_mission_runs(scenario_file, tmp_path, capsys, monkeypatch):
     """An ``--out`` or ``--dump`` file in a missing directory is a usage error
     before round 0.  It used to run the whole mission and then exit 2; a bad

@@ -595,3 +595,12 @@ def test_s1_singular_reduced_system_raises():
     state.rho = 0.0
     with pytest.raises(LinAlgError):
         step_s1(problem, state)
+
+
+def test_solver_config_validation():
+    """The iteration cap and threshold are constants: no solve can be given a bad value."""
+    assert SolverConfig().maxiter == 2000 and SolverConfig().threshold == 0.01
+    with pytest.raises(TypeError):
+        SolverConfig(maxiter=0)
+    with pytest.raises(TypeError):
+        SolverConfig(threshold=0.0)
