@@ -106,37 +106,55 @@ class ConstraintTarget:
 
 
 def detect_conflicts(
-    own_plan: np.ndarray,
-    neighbor_plans: np.ndarray,
+    plans: np.ndarray,
     obstacle_tracks: list[tuple[EllipsoidShape, np.ndarray]],
-) -> list[ConstraintTarget]:
-    """Select the neighbours/obstacles whose padded envelopes the plan enters.
+) -> list[list[ConstraintTarget]]:
+    """Select, for every agent, the neighbours/obstacles whose padded envelopes its plan enters.
 
-    ``neighbor_plans`` stacks the neighbours' predicted positions,
-    ``n_neighbors x K x 3``.  A neighbour is a conflict if at any step the
+    ``plans`` stacks the round's predicted positions of all agents,
+    ``n_agents x K x 3``.  Another agent is a conflict if at any step the
     difference to its predicted position lies inside the agent envelope
     inflated by the padding shape; obstacles use their own shape inflated
-    the same way.  Every track must have K rows.  Targets come out as
-    neighbours in stacking order, then obstacles in list order, which fixes
-    the constraint block ordering downstream.
+    the same way.  Every obstacle track must have K rows.  Each agent pair
+    is tested once and the result mirrored, since the negated difference
+    gives the same bits; a pair whose horizon boxes lie apart skips the
+    per-step test.  Agent i's targets come out as the other agents in
+    index order, then obstacles in list order, which fixes the constraint
+    block ordering downstream.
     """
-    own_plan = np.asarray(own_plan, dtype=float)
-    K = own_plan.shape[0]
-    n_neighbors = len(neighbor_plans)
-    shapes = [PlanningConfig.theta_agent] * n_neighbors + [shape for shape, _ in obstacle_tracks]
-    tracks = [*neighbor_plans, *(centers for _, centers in obstacle_tracks)]
-    bad_rows = [len(centers) for centers in tracks if len(centers) != K]
+    plans = np.asarray(plans, dtype=float)
+    n_agents, K = plans.shape[:2]
+    bad_rows = [len(centers) for _, centers in obstacle_tracks if len(centers) != K]
     if bad_rows:
         raise ValueError(f"predicted centers must have {K} rows, got {bad_rows[0]}")
-    centers = np.reshape(np.asarray(tracks, dtype=float), (-1, K, 3))
     padding = PlanningConfig.theta_padding
-    inflated = [PlanningConfig.theta_agent.inflate(padding).as_array] * n_neighbors
-    inflated += [shape.inflate(padding).as_array for shape, _ in obstacle_tracks]
-    scaled = (own_plan - centers) / np.reshape(inflated, (-1, 1, 3))
-    inside = np.any(np.sum(scaled**2, axis=-1) <= 1.0, axis=-1)
+    tracks = np.reshape(np.asarray([centers for _, centers in obstacle_tracks], dtype=float), (-1, K, 3))
+    inflated = np.reshape([shape.inflate(padding).as_array for shape, _ in obstacle_tracks], (-1, 3))
+
+    def meets(a: np.ndarray, others: np.ndarray, b: np.ndarray, axes: np.ndarray) -> np.ndarray:
+        """Whether ``plans[a[p]]`` enters the envelope ``axes[p]`` around ``others[b[p]]`` at some step."""
+        # A pair whose horizon boxes lie farther apart than the envelope on some
+        # axis cannot meet at any step.  The 1e-6 margin is far wider than the
+        # rounding of the exact test, so no pair it leaves out could pass that test.
+        reach = axes * (1.0 + 1e-6)
+        lo_a, hi_a = plans.min(axis=1)[a], plans.max(axis=1)[a]
+        lo_b, hi_b = others.min(axis=1)[b], others.max(axis=1)[b]
+        near = np.flatnonzero(np.all((lo_a - hi_b <= reach) & (lo_b - hi_a <= reach), axis=-1))
+        scaled = (plans[a[near]] - others[b[near]]) / axes[near, None]
+        hit = np.zeros(len(a), dtype=bool)
+        hit[near] = np.any(np.sum(scaled**2, axis=-1) <= 1.0, axis=-1)
+        return hit
+
+    i, j = np.triu_indices(n_agents, 1)
+    pair = np.zeros((n_agents, n_agents), dtype=bool)
+    agent_axes = np.tile(PlanningConfig.theta_agent.inflate(padding).as_array, (len(i), 1))
+    pair[i, j] = pair[j, i] = meets(i, plans, j, agent_axes)
+    agent_of, obstacle_of = np.indices((n_agents, len(tracks))).reshape(2, -1)
+    obstacle = np.reshape(meets(agent_of, tracks, obstacle_of, inflated[obstacle_of]), (n_agents, len(tracks)))
     return [
-        ConstraintTarget("neighbor" if c < n_neighbors else "obstacle", shapes[c], centers[c])
-        for c in np.flatnonzero(inside)
+        [ConstraintTarget("neighbor", PlanningConfig.theta_agent, plans[b]) for b in np.flatnonzero(pair[a])]
+        + [ConstraintTarget("obstacle", obstacle_tracks[o][0], tracks[o]) for o in np.flatnonzero(obstacle[a])]
+        for a in range(n_agents)
     ]
 
 
@@ -147,7 +165,11 @@ class SharedStructure:
     ``Q``, ``G``/``GT``, ``C``, the orthonormal null-space basis of ``C`` and
     ``pinv(C)`` do not depend on ``M`` and are the same arrays for every
     ``M``; ``AT`` and ``gram = A'A + G'G`` are built per ``M``.  ``A``
-    itself is not kept: it is ``AT.T``.  Every array is read-only, since
+    itself is not kept: it is ``AT.T``.  ``centers``, ``scales``, ``lo``
+    and ``hi`` are the row templates every problem with ``M`` targets
+    copies: the gravity offset on the thrust rows, unit scales, the speed
+    and thrust bands, and a collision lower bound of 1; a problem fills in
+    its target rows and step-0 bounds.  Every array is read-only, since
     every agent and round on the basis reads it.  ``factors`` maps a penalty
     ``rho`` to the Cholesky factor of the reduced S1 system
     ``Z'(Q + rho * gram)Z`` of these same matrices; S1 fills it on first use.
@@ -163,6 +185,10 @@ class SharedStructure:
     C_pinv: np.ndarray
     AT: np.ndarray
     gram: np.ndarray
+    centers: np.ndarray
+    scales: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -175,7 +201,12 @@ _M_INDEPENDENT = ("Q", "G", "GT", "C", "null_basis", "null_basis_T", "C_pinv")
 
 
 def _m_independent(basis: BasisSet) -> dict:
-    """The arrays of :class:`SharedStructure` that every ``M`` shares."""
+    """The arrays of :class:`SharedStructure` that every ``M`` shares.
+
+    Raises :class:`ValueError` when ``C z = e`` cannot pin every measured
+    state on the basis (degree below 2), so ``pinv(C) @ e`` solves it for
+    any ``e``.
+    """
     W, eye3 = basis.W, np.eye(3)
     # Cost: w_goal over the last kappa samples plus w_smooth on acceleration,
     # absorbed into the 0.5 z'Qz + q'z convention (factor 2 inside Q/q).
@@ -189,6 +220,9 @@ def _m_independent(basis: BasisSet) -> dict:
     # eliminated exactly by a particular solution plus an orthonormal null-space basis.
     C = np.kron(eye3, np.vstack([W[0], basis.W1[0], basis.W2[0]]))
     null_basis = null_space(C)
+    C_pinv = pinv(C)
+    if np.abs(C @ C_pinv - np.eye(len(C))).max() > 1e-9:
+        raise ValueError("initial conditions are inconsistent with the basis degree")
     return {
         "Q": np.kron(eye3, Q_axis),
         "G": G,
@@ -196,7 +230,7 @@ def _m_independent(basis: BasisSet) -> dict:
         "C": C,
         "null_basis": null_basis,
         "null_basis_T": np.ascontiguousarray(null_basis.T),
-        "C_pinv": pinv(C),
+        "C_pinv": C_pinv,
     }
 
 
@@ -213,7 +247,16 @@ def shared_structure(basis: BasisSet, M: int) -> SharedStructure:
         # Stacked constraint matrix: velocity, acceleration, collision blocks per axis.
         A = np.kron(np.eye(3), np.vstack([basis.W1, basis.W2, np.tile(basis.W, (M, 1))]))
         AT = np.ascontiguousarray(A.T)
-        table[M] = SharedStructure(M=M, AT=AT, gram=AT @ A + common["GT"] @ common["G"], **common)
+        K, n_rows = basis.K, basis.K * (2 + M)
+        centers = np.zeros((n_rows, 3))
+        centers[K : 2 * K, 2] = -GRAVITY
+        lo = np.ones(n_rows)
+        hi = np.full(n_rows, np.inf)
+        lo[:K], hi[:K] = 0.0, PlanningConfig.v_max
+        lo[K : 2 * K], hi[K : 2 * K] = PlanningConfig.f_min, PlanningConfig.f_max
+        gram = AT @ A + common["GT"] @ common["G"]
+        scales = np.ones((n_rows, 3))
+        table[M] = SharedStructure(M=M, AT=AT, gram=gram, centers=centers, scales=scales, lo=lo, hi=hi, **common)
     return table[M]
 
 
@@ -238,8 +281,9 @@ class PlanningProblem:
     The matrices ``Q``, ``AT``, ``G``/``GT``, ``C``, ``gram`` and the null
     basis are read from ``shared``, the read-only :class:`SharedStructure`
     of the basis and ``M``; the agent's own data is ``q``, ``h``, ``e``, the
-    row metadata and ``zeta_particular``, the particular solution
-    ``pinv(C) @ e`` of ``C z = e``.
+    row metadata (copies of the shared row templates with the target rows
+    and step-0 bounds filled in) and ``zeta_particular``, the particular
+    solution ``pinv(C) @ e`` of ``C z = e``.
     """
 
     def __init__(self, config: PlanningConfig, snapshot: AgentSnapshot, targets: list[ConstraintTarget], basis: BasisSet):
@@ -267,21 +311,15 @@ class PlanningProblem:
         # Constraint-row metadata shared by the solver steps: the center each row
         # measures from, the per-axis scale applied to the polar direction, and
         # the magnitude bounds of each family.
-        centers = np.zeros((self.n_rows, 3))
-        centers[K : 2 * K, 2] = -GRAVITY
-        scales = np.ones((self.n_rows, 3))
-        lo = np.zeros(self.n_rows)
-        hi = np.full(self.n_rows, np.inf)
-        lo[:K] = 0.0
-        hi[:K] = config.v_max
-        lo[K : 2 * K] = config.f_min
-        hi[K : 2 * K] = config.f_max
+        centers = self.shared.centers.copy()
+        scales = self.shared.scales.copy()
+        lo = self.shared.lo.copy()
+        hi = self.shared.hi.copy()
         anchors = np.empty(M)
         for j, target in enumerate(self.targets):
             rows = slice((2 + j) * K, (3 + j) * K)
             centers[rows] = target.predicted_centers
             scales[rows] = target.shape.as_array
-            lo[rows] = 1.0
             anchors[j] = np.linalg.norm((snapshot.position - target.predicted_centers[0]) / target.shape.as_array)
         # C z = e pins every family's step-0 sample to the measured state, so
         # the step-0 bounds must admit it or the residual can never vanish.
@@ -300,8 +338,6 @@ class PlanningProblem:
         self.anchors = anchors
 
         self.zeta_particular = self.shared.C_pinv @ self.e
-        if not np.allclose(self.shared.C @ self.zeta_particular, self.e, atol=1e-9):
-            raise ValueError("initial conditions are inconsistent with the basis degree")
 
     def stack_samples(self, pos: np.ndarray, vel: np.ndarray, acc: np.ndarray) -> np.ndarray:
         """Arrange sampled kinematics into constraint-row order (n_rows x 3)."""

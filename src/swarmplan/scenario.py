@@ -102,6 +102,8 @@ def validate(scenario: Scenario) -> None:
     lo, hi = scenario.workspace
     if not (_finite_point(lo) and _finite_point(hi)) or np.any(lo >= hi):
         raise ScenarioError("workspace must be finite with positive extent on every axis")
+    if not scenario.agents:
+        raise ScenarioError("need at least one agent, got 0")
     for k, obs in enumerate(scenario.obstacles):
         if not (_finite_point(obs.center) and _finite_point(obs.velocity)):
             raise ScenarioError(f"obstacle {k}: center and velocity must be finite 3-vectors")

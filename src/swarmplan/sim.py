@@ -1,11 +1,12 @@
 """Headless synchronous receding-horizon swarm simulator.
 
-Each round every agent reads the plans all agents published in the previous
-round (shifted forward one step, terminal sample held), selects its conflict
-set, assembles and solves its own problem, and then the whole swarm advances
-one step with perfect tracking of the freshly planned trajectories.  Rounds
-repeat until every agent reaches its goal, a collision is declared on the
-executed states, or the mission clock runs out.
+Each round the plans all agents published in the previous round are shifted
+forward one step (terminal sample held), and one conflict test over the whole
+swarm selects every agent's conflict set.  Each agent then assembles and
+solves its own problem, and the whole swarm advances one step with perfect
+tracking of the freshly planned trajectories.  Rounds repeat until every
+agent reaches its goal, a collision is declared on the executed states, or
+the mission clock runs out.
 
 The agents of a round are planned one after another in agent-index order, on
 the calling thread; a scenario plus configuration determines the report
@@ -40,8 +41,9 @@ class MissionReport:
     ``min_inter_agent`` / ``min_obstacle`` hold, per round, the smallest
     scaled separation (values below 1 mean a declared collision); ``None``
     when there is no pair/obstacle to measure.  ``per_agent_compute_us``
-    holds, per agent and round, the wall-clock time of its plan: conflict
-    selection, assembly and solve.  Timings are excluded from the canonical
+    holds, per agent and round, the wall-clock time of its plan: its
+    assembly and solve plus a 1/N share of the round's conflict selection,
+    which runs once for all N agents.  Timings are excluded from the canonical
     byte serialization used for determinism checks.
     """
 
@@ -210,17 +212,17 @@ def run_mission(
             break
 
         # Last round's plans one step on, terminal sample held.  The index array
-        # makes a copy, so agent i's new plan below cannot affect a later solve;
-        # each agent sees its own row and the others' rows in index order.
+        # makes a copy, so agent i's new plan below cannot affect a later solve.
         shifted = plans[:, np.r_[1:K, K - 1]]
         obstacle_tracks = [(o.shape, o.predicted_centers(K, dt)) for o in obstacles]
-        for i in range(n_agents):
-            neighbor_plans = np.delete(shifted, i, axis=0)
+        t0 = time.perf_counter()
+        conflicts = detect_conflicts(shifted, obstacle_tracks)
+        selection_us = (time.perf_counter() - t0) * 1e6 / n_agents
+        for i, targets in enumerate(conflicts):
             t0 = time.perf_counter()
-            targets = detect_conflicts(shifted[i], neighbor_plans, obstacle_tracks)
             problem = assemble(snapshots[i], targets, basis, config)
             zeta, diag = solve(problem)
-            per_agent_compute[i].append((time.perf_counter() - t0) * 1e6)
+            per_agent_compute[i].append(selection_us + (time.perf_counter() - t0) * 1e6)
             pos, vel, acc = sample_trajectory(basis, zeta)
             nonconverged += not diag.converged
             snapshots[i] = AgentSnapshot(position=pos[1], goal=snapshots[i].goal, velocity=vel[1], acceleration=acc[1])

@@ -257,8 +257,9 @@ def test_validate_scenario_exit_codes(scenario_file, tmp_path, capsys):
         b"agents:\n- {start: [0, 0, 1], goal: [1, 0, 1]}\n"
         b"obstacles:\n- {center: [-1, 1, 1], shape: [-0.3, 0.3, 1]}\n",
         b"seed: 0\n# \xff\xfe\n",
+        b"seed: 0\nworkspace: {min: [-2, -2, 0], max: [2, 2, 2]}\nagents: []\n",
     ],
-    ids=["unterminated-flow-mapping", "negative-semi-axis", "not-utf8"],
+    ids=["unterminated-flow-mapping", "negative-semi-axis", "not-utf8", "no-agents"],
 )
 def test_malformed_scenario_file_is_a_scenario_error(tmp_path, capsys, content):
     bad = tmp_path / "bad.yaml"

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmplan.bernstein import build_basis, sample_trajectory
 from swarmplan.polar import EllipsoidShape, omega
@@ -28,56 +30,105 @@ def hover_plan(x, y, z, K=30):
 
 
 def test_detect_conflicts_far_neighbors_excluded():
-    own = hover_plan(0.0, 0.0, 1.0)
-    neighbors = np.stack([hover_plan(1.0, 0.0, 1.0)])
-    assert detect_conflicts(own, neighbors, []) == []
+    plans = np.stack([hover_plan(0.0, 0.0, 1.0), hover_plan(1.0, 0.0, 1.0)])
+    assert detect_conflicts(plans, []) == [[], []]
+    assert detect_conflicts(plans[:1], []) == [[]]
 
 
 def test_detect_conflicts_coincident_step_included(default_config):
-    own = hover_plan(0.0, 0.0, 1.0)
     other = hover_plan(1.0, 0.0, 1.0)
     other[5] = [0.0, 0.0, 1.0]
-    targets = detect_conflicts(own, np.stack([other]), [])
-    assert len(targets) == 1
-    assert targets[0].kind == "neighbor"
-    assert targets[0].shape == default_config.theta_agent
+    plans = np.stack([hover_plan(0.0, 0.0, 1.0), other])
+    conflicts = detect_conflicts(plans, [])
+    assert [len(targets) for targets in conflicts] == [1, 1]
+    for own, (target,) in enumerate(conflicts):
+        assert target.kind == "neighbor"
+        assert target.shape == default_config.theta_agent
+        np.testing.assert_array_equal(target.predicted_centers, plans[1 - own])
 
 
-def test_detect_conflicts_matches_per_step_oracle(default_config):
-    """Several neighbours and obstacles per call: the targets are exactly the
-    tracks a per-step scan finds inside, neighbours in stacking order, then
-    obstacles in list order, each with its own kind, shape and centres."""
-    rng = np.random.default_rng(11)
+def per_step_conflicts(plans, obstacles, cfg):
+    """The per-agent scan, one ordered pair and one step at a time:
+    (kind, shape, index) per target, other agents in index order, then
+    obstacles in list order."""
+
+    def inside(own, centers, shape):
+        inflated = shape.as_array + cfg.theta_padding.as_array
+        return any(np.sum(((own[k] - centers[k]) / inflated) ** 2) <= 1.0 for k in range(cfg.K))
+
+    return [
+        [("neighbor", cfg.theta_agent, b) for b in range(len(plans)) if b != a and inside(own, plans[b], cfg.theta_agent)]
+        + [("obstacle", shape, o) for o, (shape, track) in enumerate(obstacles) if inside(own, track, shape)]
+        for a, own in enumerate(plans)
+    ]
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(
+    n_agents=st.sampled_from([1, 2, 5, 32]),
+    n_obstacles=st.integers(0, 5),
+    extent=st.floats(0.5, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_detect_conflicts_matches_per_step_oracle(n_agents, n_obstacles, extent, seed):
+    """One call for the whole swarm selects, for every agent, exactly the
+    tracks a per-step scan of each ordered pair finds inside: other agents in
+    index order, then obstacles in list order, each with its own kind, shape
+    and centres; no agent is its own target, and agent conflicts are mutual."""
+    cfg = PlanningConfig
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array([-extent, -extent, 0.3]) / 2, np.array([extent, extent, 1.7]) / 2
+
+    def tracks(count):
+        start = rng.uniform(lo, hi, size=(count, 1, 3))
+        return start + np.cumsum(rng.normal(0.0, 0.05, size=(count, cfg.K, 3)), axis=1)
+
+    plans = tracks(n_agents)
+    obstacles = [(EllipsoidShape(*rng.uniform(0.1, 0.6, 3)), track) for track in tracks(n_obstacles)]
+    conflicts = detect_conflicts(plans, obstacles)
+    expected = per_step_conflicts(plans, obstacles, cfg)
+    assert len(conflicts) == n_agents
+    pairs = set()
+    for a, (targets, want) in enumerate(zip(conflicts, expected)):
+        assert [(t.kind, t.shape) for t in targets] == [(kind, shape) for kind, shape, _ in want]
+        for target, (kind, _, index) in zip(targets, want):
+            track = plans[index] if kind == "neighbor" else obstacles[index][1]
+            assert target.predicted_centers.shape == (cfg.K, 3)
+            np.testing.assert_array_equal(target.predicted_centers, track)
+        pairs |= {(a, index) for kind, _, index in want if kind == "neighbor"}
+    assert all(a != b and (b, a) in pairs for a, b in pairs)
+    if n_agents == 1 and not n_obstacles:
+        assert conflicts == [[]]
+
+
+def test_detect_conflicts_decides_envelope_contact_like_the_per_step_scan(default_config):
+    """Pairs a few ulps either side of the padded envelope, on each axis, get
+    the per-step scan's answer: the box pre-test leaves out no pair in contact."""
     cfg = default_config
-    lo, hi = [-1, -1, 0.3], [1, 1, 1.7]
-    for _ in range(50):
-        own = rng.uniform(lo, hi, size=(cfg.K, 3))
-        neighbors = rng.uniform(lo, hi, size=(rng.integers(0, 5), cfg.K, 3))
-        obstacles = [
-            (EllipsoidShape(*rng.uniform(0.1, 0.6, 3)), rng.uniform(lo, hi, size=(cfg.K, 3)))
-            for _ in range(rng.integers(0, 5))
-        ]
-        targets = detect_conflicts(own, neighbors, obstacles)
-
-        def inside(centers, shape):
-            inflated = shape.as_array + cfg.theta_padding.as_array
-            return any(np.sum(((own[k] - centers[k]) / inflated) ** 2) <= 1.0 for k in range(cfg.K))
-
-        expected = [("neighbor", cfg.theta_agent, c) for c in neighbors if inside(c, cfg.theta_agent)]
-        expected += [("obstacle", shape, c) for shape, c in obstacles if inside(c, shape)]
-        assert [(t.kind, t.shape) for t in targets] == [(kind, shape) for kind, shape, _ in expected]
-        for target, (_, _, centers) in zip(targets, expected):
-            np.testing.assert_array_equal(target.predicted_centers, centers)
+    reach = cfg.theta_agent.inflate(cfg.theta_padding).as_array
+    rng = np.random.default_rng(3)
+    outcomes = set()
+    for axis in range(3):
+        for start in rng.uniform(-1.0, 1.0, size=(10, 3)):
+            for ulps in range(-4, 5):
+                offset = np.zeros(3)
+                offset[axis] = reach[axis] * (1.0 + ulps * 2.0**-52)
+                plans = np.stack([hover_plan(*start), hover_plan(*(start + offset))])
+                conflicts = detect_conflicts(plans, [])
+                expected = per_step_conflicts(plans, [], cfg)
+                assert [[t.kind for t in row] for row in conflicts] == [[kind for kind, _, _ in row] for row in expected]
+                outcomes.add(bool(conflicts[0]))
+    assert outcomes == {True, False}
 
 
 def test_detect_conflicts_rejects_tracks_without_k_rows(default_config):
-    own = hover_plan(0.0, 0.0, 1.0)
+    plans = np.stack([hover_plan(0.0, 0.0, 1.0)])
     short = hover_plan(0.0, 0.0, 1.0, K=default_config.K - 1)
     shape = EllipsoidShape(0.3, 0.3, 0.3)
     with pytest.raises(ValueError, match="must have 30 rows"):
-        detect_conflicts(own, np.stack([short]), [])
+        detect_conflicts(plans, [(shape, short)])
     with pytest.raises(ValueError, match="must have 30 rows"):
-        detect_conflicts(own, np.empty((0, 30, 3)), [(shape, own), (shape, short)])
+        detect_conflicts(plans, [(shape, plans[0]), (shape, short)])
 
 
 def test_assemble_shapes_with_three_targets(basis30, default_config):
@@ -246,10 +297,53 @@ def test_shared_matrices_are_read_only(basis30, default_config):
     for name in ("Q", "AT", "G", "GT", "C", "gram", "null_basis", "null_basis_T", "C_pinv"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(problem.shared, name)[0, 0] = 1.0
+    for name in ("centers", "scales", "lo", "hi"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(problem.shared, name)[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         problem.shared.AT.T[0, 0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         problem.shared.Q = np.eye(problem.n_coeffs)
+
+
+def test_problems_fill_their_rows_from_the_shared_templates(basis30, default_config):
+    """A problem's row metadata is the template of its basis and M with the
+    target rows and the step-0 bounds filled in; the template stays as built."""
+    cfg, K = default_config, basis30.K
+    snapshot = AgentSnapshot(
+        position=np.array([-0.27, 0.0, 1.0]),
+        goal=np.array([-1.5, 0.0, 1.0]),
+        velocity=np.array([2.0, 0.0, 0.0]),
+        acceleration=np.array([0.0, 0.0, -9.0]),
+    )
+    targets = [cylinder_target(0.0, 0.0, 0.3), cylinder_target(1.0, 0.0, 0.3)]
+    problem = assemble(snapshot, targets, basis30, cfg)
+    shared = problem.shared
+    gravity = np.zeros((problem.n_rows, 3))
+    gravity[K : 2 * K, 2] = -GRAVITY
+    np.testing.assert_array_equal(shared.centers, gravity)
+    np.testing.assert_array_equal(shared.scales, 1.0)
+    np.testing.assert_array_equal(shared.lo, np.repeat([0.0, cfg.f_min, 1.0, 1.0], K))
+    np.testing.assert_array_equal(shared.hi, np.repeat([cfg.v_max, cfg.f_max, np.inf, np.inf], K))
+
+    np.testing.assert_array_equal(problem.centers[: 2 * K], shared.centers[: 2 * K])
+    np.testing.assert_array_equal(problem.centers[2 * K :], np.concatenate([t.predicted_centers for t in targets]))
+    np.testing.assert_array_equal(problem.scales[2 * K :], np.repeat([t.shape.as_array for t in targets], K, axis=0))
+    # Speed cap, thrust floor and the first target's anchor widen; the second starts outside.
+    np.testing.assert_array_equal(np.flatnonzero(problem.lo_base != shared.lo), [K, 2 * K])
+    np.testing.assert_array_equal(np.flatnonzero(problem.hi_bounds != shared.hi), [0])
+
+
+def test_assemble_rejects_a_basis_that_cannot_pin_the_initial_state(default_config):
+    """Below degree 2, ``C z = e`` cannot fix position, velocity and
+    acceleration at step 0, whatever the state; the basis is rejected when
+    its shared structure is first built."""
+    snapshot = AgentSnapshot(position=np.zeros(3), goal=np.ones(3))
+    basis = build_basis(30, 1, 0.1)
+    with pytest.raises(ValueError, match="inconsistent with the basis degree"):
+        assemble(snapshot, [], basis, default_config)
+    assert basis.problem_table == {}
+    assert assemble(snapshot, [], build_basis(30, 2, 0.1), default_config).M == 0
 
 
 def test_initial_condition_rows(basis30, default_config):

@@ -87,6 +87,11 @@ def test_validator_rejects_out_of_workspace():
         validate(scenario)
 
 
+def test_validator_rejects_a_scenario_without_agents():
+    with pytest.raises(ScenarioError, match="at least one agent"):
+        validate(Scenario(seed=0, agents=[], workspace=WS))
+
+
 def test_validator_rejects_close_starts():
     scenario = Scenario(
         seed=0,

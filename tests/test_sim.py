@@ -191,6 +191,22 @@ def test_short_missions_keep_their_golden_digests(gamma):
     assert hashlib.sha256(report.canonical_bytes()).hexdigest() == GOLDEN_DIGESTS[gamma]
 
 
+# sha256 of canonical_bytes() for generate_random(0, 32, 0, CROWD_WS) with a 1 s clock.
+CROWD_WS = (np.array([-4.0, -4.0, 0.0]), np.array([4.0, 4.0, 2.0]))
+CROWD_DIGEST = "47efc7b6a441baa4062ebd48f65d618f9d0c9e2b3d8f7c2c5ebc44adb92204f9"
+
+
+def test_crowd_mission_keeps_its_golden_digest(monkeypatch):
+    """Pinned report digest of a 32-agent mission cut at 1 s (11 rounds), so
+    tier-1 pins the bits of a swarm-wide conflict selection, which the
+    4-agent goldens above hardly exercise.  Recorded on the platform the
+    goldens above name."""
+    monkeypatch.setattr(sim, "MISSION_TIME_LIMIT", 1.0)
+    report = run_mission(generate_random(0, 32, 0, CROWD_WS))
+    assert report.timeout and report.rounds == 11
+    assert hashlib.sha256(report.canonical_bytes()).hexdigest() == CROWD_DIGEST
+
+
 def test_report_serialization_excludes_timing_in_canonical_bytes():
     scenario = Scenario(seed=0, agents=[(np.array([0.0, 0, 1.0]), np.array([0.5, 0, 1.0]))], workspace=WS)
     report = run_mission(scenario)
