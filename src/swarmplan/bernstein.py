@@ -26,7 +26,10 @@ class BasisSet:
     samples all three.  ``problem_table`` starts empty and holds, by conflict
     count M, the problem structure every agent planning on this basis shares
     (see :func:`swarmplan.problem.shared_structure`), so it lives as long as
-    the basis.
+    the basis.  ``agent_table`` likewise holds the goal-cost and bound
+    vectors that every round of an agent reuses (see
+    :func:`swarmplan.problem.goal_cost` and
+    :func:`swarmplan.problem.bound_vector`).
     """
 
     K: int
@@ -37,6 +40,7 @@ class BasisSet:
     W2: np.ndarray
     W_all: np.ndarray = field(init=False, repr=False, compare=False)
     problem_table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    agent_table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "W_all", np.vstack([self.W, self.W1, self.W2]))

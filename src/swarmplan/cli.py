@@ -283,6 +283,14 @@ def _parent_exists(path: str) -> None:
         raise ValueError(f"no such directory: {parent}")
 
 
+def _directory_possible(path: str) -> None:
+    """Check for :func:`_checked`: an output directory exists, or its nearest existing ancestor is a directory to make it in."""
+    target = Path(path)
+    existing = next((p for p in (target, *target.parents) if p.exists()), None)
+    if existing is None or not existing.is_dir():
+        raise ValueError(f"not a directory: {existing}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="swarmplan", description="Swarm trajectory planning benchmark tool")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -306,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--obstacles", type=_checked(int, _at_least(0)), default=16)
     workspace = _checked(_parse_workspace)
     p_sweep.add_argument("--workspace", type=workspace, default="4x4x2", help="workspace dims WxDxH in meters")
-    p_sweep.add_argument("--out", required=True, help="output directory")
+    p_sweep.add_argument("--out", type=_checked(str, _directory_possible), required=True, help="output directory")
     p_sweep.add_argument("--jobs", type=_checked(int, _at_least(1)), default=1, help="parallel trial processes (>= 1)")
     p_sweep.add_argument("--dump", action="store_true", help="also write per-trial trajectory dumps")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import null_space, pinv
 
 from .bernstein import BasisSet
-from .polar import EllipsoidShape
+from .polar import EllipsoidShape, bf_lower_bound
 
 GRAVITY = 9.81
 
@@ -67,19 +67,31 @@ class PlanningConfig:
 
 @dataclass
 class AgentSnapshot:
-    """Current kinematic state and goal of one agent."""
+    """Current kinematic state and goal of one agent.
+
+    The four fields are finite float 3-vectors, rows of one array converted
+    from the inputs, so a later write to an input does not reach the snapshot.
+    """
 
     position: np.ndarray
     goal: np.ndarray
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
     acceleration: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
+    _FIELDS: ClassVar[tuple[str, ...]] = ("position", "goal", "velocity", "acceleration")
+
     def __post_init__(self):
-        for name in ("position", "goal", "velocity", "acceleration"):
-            value = np.asarray(getattr(self, name), dtype=float)
-            if value.shape != (3,) or not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be a finite 3-vector, got {value!r}")
-            setattr(self, name, value)
+        # One stacked conversion and check; the per-field loop runs only to name a bad field.
+        try:
+            stacked = np.array([getattr(self, name) for name in self._FIELDS], dtype=float)
+        except (TypeError, ValueError):
+            stacked = None
+        if stacked is None or stacked.shape != (4, 3) or not np.isfinite(stacked).all():
+            for name in self._FIELDS:
+                value = np.asarray(getattr(self, name), dtype=float)
+                if value.shape != (3,) or not np.all(np.isfinite(value)):
+                    raise ValueError(f"{name} must be a finite 3-vector, got {value!r}")
+        self.position, self.goal, self.velocity, self.acceleration = stacked
 
 
 @dataclass
@@ -276,14 +288,19 @@ class PlanningProblem:
     thrust band widened to include ``|a0 + g|``, and collision lower bound
     ``min(1, anchor)``, where ``anchors`` holds the measured scaled distance
     to each target's step-0 center; ``col_lo_step0`` views those collision
-    bounds, one per target.
+    bounds, one per target.  Below ``gamma = 1``, ``barrier_lo_step0`` holds
+    the barrier's step-0 collision bounds, which read only the anchors (see
+    :func:`swarmplan.solver.step_s3`); at ``gamma = 1`` it is ``None``.
 
     The matrices ``Q``, ``AT``, ``G``/``GT``, ``C``, ``gram`` and the null
     basis are read from ``shared``, the read-only :class:`SharedStructure`
-    of the basis and ``M``; the agent's own data is ``q``, ``h``, ``e``, the
-    row metadata (copies of the shared row templates with the target rows
-    and step-0 bounds filled in) and ``zeta_particular``, the particular
-    solution ``pinv(C) @ e`` of ``C z = e``.
+    of the basis and ``M``.  The goal cost ``q`` and the bound vector ``h``
+    are read-only too, shared by every problem on the basis with the same
+    goal (:func:`goal_cost`) and config (:func:`bound_vector`).  The
+    agent's own data is ``e``, the row metadata (copies of the shared row
+    templates with the target rows and step-0 bounds filled in) and
+    ``zeta_particular``, the particular solution ``pinv(C) @ e`` of
+    ``C z = e``.
     """
 
     def __init__(self, config: PlanningConfig, snapshot: AgentSnapshot, targets: list[ConstraintTarget], basis: BasisSet):
@@ -301,11 +318,8 @@ class PlanningProblem:
         self.n_rows = K * (2 + M)  # constraint rows per axis
 
         self.shared = shared_structure(basis, M)
-        Wk = basis.W[K - config.kappa :, :]
-        self.q = np.concatenate([-2.0 * config.w_goal * (Wk.T @ np.full(config.kappa, g)) for g in snapshot.goal])
-        p_min = np.asarray(config.p_min, dtype=float)
-        p_max = np.asarray(config.p_max, dtype=float)
-        self.h = np.concatenate([np.repeat(p_max, K), np.repeat(-p_min, K)])
+        self.q = goal_cost(basis, config, snapshot.goal)
+        self.h = bound_vector(basis, config)
         self.e = np.column_stack([snapshot.position, snapshot.velocity, snapshot.acceleration]).ravel()
 
         # Constraint-row metadata shared by the solver steps: the center each row
@@ -336,12 +350,51 @@ class PlanningProblem:
         self.col_rows = slice(2 * K, self.n_rows)
         self.col_lo_step0 = lo[2 * K :: K]
         self.anchors = anchors
+        # The barrier's step-0 bounds read only the anchors; S3 reads them only below gamma = 1.
+        self.barrier_lo_step0 = None
+        if config.gamma < 1.0:
+            self.barrier_lo_step0 = np.minimum(bf_lower_bound(anchors, config.gamma), self.col_lo_step0)
 
         self.zeta_particular = self.shared.C_pinv @ self.e
 
     def stack_samples(self, pos: np.ndarray, vel: np.ndarray, acc: np.ndarray) -> np.ndarray:
         """Arrange sampled kinematics into constraint-row order (n_rows x 3)."""
         return np.concatenate([vel, acc, *[pos] * self.M])
+
+
+def goal_cost(basis: BasisSet, config: PlanningConfig, goal: np.ndarray) -> np.ndarray:
+    """The linear goal cost ``q`` of every problem on ``basis`` that heads for ``goal``, read-only.
+
+    It depends on the goal alone, so it is built once per goal, keyed by the
+    goal's bytes, and kept in ``basis.agent_table``.
+    """
+    key = ("q", goal.tobytes())
+    q = basis.agent_table.get(key)
+    if q is None:
+        Wk = basis.W[basis.K - config.kappa :, :]
+        q = np.concatenate([-2.0 * config.w_goal * (Wk.T @ np.full(config.kappa, g)) for g in goal])
+        q.flags.writeable = False
+        basis.agent_table[key] = q
+    return q
+
+
+def bound_vector(basis: BasisSet, config: PlanningConfig) -> np.ndarray:
+    """The workspace bound vector ``h`` of every problem on ``basis`` planned with ``config``, read-only.
+
+    It depends on the box alone, so it is built once per config object and
+    kept in ``basis.agent_table``.  The entry holds the config, so its ``id``
+    cannot be reused by another; equal configs are not merged, since boxes
+    that compare equal can differ in the sign of a zero.
+    """
+    key = ("h", id(config))
+    entry = basis.agent_table.get(key)
+    if entry is None or entry[0] is not config:
+        p_min = np.asarray(config.p_min, dtype=float)
+        p_max = np.asarray(config.p_max, dtype=float)
+        h = np.concatenate([np.repeat(p_max, basis.K), np.repeat(-p_min, basis.K)])
+        h.flags.writeable = False
+        entry = basis.agent_table[key] = (config, h)
+    return entry[1]
 
 
 def assemble(

@@ -197,24 +197,26 @@ def step_s3(
     collision lower bounds follow the barrier rule
     ``1 + (1 - gamma) * (d_prev - 1)`` at ``problem.config.gamma``, where
     ``d_prev`` is the previous iterate's magnitude one step earlier and, for
-    step 0, the measured anchor.  With ``gamma = 1`` the rule is the plain
-    boundary value 1, bit for bit.  Step 0 is pinned to the measured state,
+    step 0, the measured anchor.  Step 0 is pinned to the measured state,
     so its bound is also capped at the assembled step-0 bound
-    ``min(1, anchor)``.  A cold start seeds the previous magnitudes with the
-    anchors (see :meth:`SolverState.cold`), so the first bound reads the
-    measured state.
+    ``min(1, anchor)``; that step-0 bound reads only the anchors, so the
+    problem holds it (``barrier_lo_step0``).  A cold start seeds the
+    previous magnitudes with the anchors (see :meth:`SolverState.cold`), so
+    the first bound reads the measured state.
+
+    The barrier bounds are built only when ``gamma < 1``.  With
+    ``gamma = 1`` the rule gives 1 for every finite ``d_prev`` and anchor,
+    and ``min(1, anchor)`` at step 0: the assembled ``problem.lo_base``, bit
+    for bit.  ``d_prev`` is finite whenever S3 runs, since a non-finite
+    magnitude makes the residual non-finite and :func:`solve` stops.
     """
     lo = problem.lo_base
-    if problem.M:
+    if problem.M and problem.config.gamma < 1.0:
         d_prev = state.d[problem.col_rows].reshape(problem.M, problem.K)
-        shifted = np.empty_like(d_prev)
-        shifted[:, 0] = problem.anchors
-        shifted[:, 1:] = d_prev[:, :-1]
-        bound = bf_lower_bound(shifted, problem.config.gamma)
-        # Step 0 is pinned to the measured state; never ask for more than it has.
-        bound[:, 0] = np.minimum(bound[:, 0], problem.col_lo_step0)
         lo = lo.copy()
-        lo[problem.col_rows] = bound.ravel()
+        bound = lo[problem.col_rows].reshape(problem.M, problem.K)  # a view into lo
+        bound[:, 0] = problem.barrier_lo_step0
+        bound[:, 1:] = bf_lower_bound(d_prev[:, :-1], problem.config.gamma)
     return clipped_magnitude(samples - problem.centers, omega_rows, problem.scales, lo, problem.hi_bounds)
 
 
@@ -241,8 +243,10 @@ def advance(problem: PlanningProblem, state: SolverState) -> None:
     omega_rows = omega(state.alpha, state.beta)
     state.d = step_s3(problem, state, samples, omega_rows)
     state.slack = step_s4(problem, gz)
-    state.b = build_b(problem, state.d, omega_rows)
-    r_eq = samples.T.ravel() - state.b
+    # The target rows of build_b, kept in row form so the residual needs no second transpose.
+    rows = problem.centers + problem.scales * (state.d[:, None] * omega_rows)
+    state.b = rows.T.ravel()
+    r_eq = (samples - rows).T.ravel()
     viol = np.maximum(gz - problem.h, 0.0)
     state.lam = step_s5(problem, state, r_eq, viol)
     # sqrt(r . r) is what np.linalg.norm computes for a 1-D real vector.

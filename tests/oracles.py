@@ -4,16 +4,23 @@ Everything here deliberately avoids the library's own closed forms: the
 angle oracle is a grid search with local refinement, the magnitude oracle a
 ternary search, the equality-QP oracle a dense bordered-KKT factorization,
 and the basis-derivative oracle a finite difference of directly evaluated
-basis functions.  The problem-matrix reference is the one exception: it
-repeats, from scratch per problem, the arithmetic the library now shares
-across problems, so the shared matrices can be required to match bit for
-bit.
+basis functions.  Two references are exceptions, written to be matched bit
+for bit rather than to tolerance: the problem-matrix reference repeats, from
+scratch per problem, the arithmetic the library now shares across problems,
+and :func:`reference_advance` is the AM iteration as written before its
+numpy calls were cut.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import null_space, pinv
 from scipy.special import comb
+
+from swarmplan.polar import omega
+from swarmplan.problem import build_b
+from swarmplan.solver import rho_at, sample_rows, step_s1, step_s2, step_s4, step_s5
 
 # Trig tables for the coarse grid are instance-independent.
 _ALPHA_GRID = np.linspace(-np.pi, np.pi, 2000)
@@ -192,3 +199,58 @@ def reference_problem_matrices(basis, M, e, kappa, w_goal, w_smooth):
         "null_basis_T": np.ascontiguousarray(null_basis.T),
         "zeta_particular": pinv(C) @ e,
     }
+
+
+def reference_clipped_magnitude(diff, omega_rows, scales, lo, hi):
+    """The magnitude update as first written: quadratic vertex per row, then ``np.clip``."""
+    scaled_dir = scales * omega_rows
+    num = np.einsum("ij,ij->i", diff, scaled_dir)
+    den = np.einsum("ij,ij->i", scaled_dir, scaled_dir)
+    safe = den > 1e-12
+    vertex = num / den if safe.all() else np.where(safe, num / np.where(safe, den, 1.0), lo)
+    return np.clip(vertex, lo, hi)
+
+
+def reference_s3(problem, state, samples, omega_rows):
+    """S3 with the barrier bounds built at every gamma, 1 included, from the previous magnitudes.
+
+    Collision row bounds are ``1 + (1 - gamma) * (d_prev - 1)`` with
+    ``d_prev`` the previous magnitude one step earlier and the anchor at step
+    0, where the bound is also capped at the assembled ``min(1, anchor)``.
+    """
+    lo = problem.lo_base
+    if problem.M:
+        gamma = problem.config.gamma
+        d_prev = state.d[problem.col_rows].reshape(problem.M, problem.K)
+        shifted = np.empty_like(d_prev)
+        shifted[:, 0] = problem.anchors
+        shifted[:, 1:] = d_prev[:, :-1]
+        bound = 1.0 + (1.0 - gamma) * (shifted - 1.0)
+        bound[:, 0] = np.minimum(bound[:, 0], problem.col_lo_step0)
+        lo = lo.copy()
+        lo[problem.col_rows] = bound.ravel()
+    return reference_clipped_magnitude(samples - problem.centers, omega_rows, problem.scales, lo, problem.hi_bounds)
+
+
+def reference_advance(problem, state):
+    """One AM iteration in place, as written before its numpy calls were cut.
+
+    It builds the barrier at every gamma (:func:`reference_s3`), clips with
+    ``np.clip``, and builds the target vector with ``build_b`` before it
+    subtracts it from the transposed samples.  S1, S2, S4, S5 and the
+    sampling are the library's own.
+    """
+    state.zeta1 = step_s1(problem, state)
+    samples, gz = sample_rows(problem, state.zeta1)
+    state.alpha, state.beta = step_s2(problem, samples)
+    omega_rows = omega(state.alpha, state.beta)
+    state.d = reference_s3(problem, state, samples, omega_rows)
+    state.slack = step_s4(problem, gz)
+    state.b = build_b(problem, state.d, omega_rows)
+    r_eq = samples.T.ravel() - state.b
+    viol = np.maximum(gz - problem.h, 0.0)
+    state.lam = step_s5(problem, state, r_eq, viol)
+    state.eq_residual = math.sqrt(r_eq.dot(r_eq))
+    state.ineq_residual = math.sqrt(viol.dot(viol))
+    state.iter += 1
+    state.rho = rho_at(state.iter)

@@ -154,6 +154,28 @@ def test_bad_sweep_specs_are_usage_errors(spec, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_sweep_out_must_be_a_directory(below, tmp_path, capsys, monkeypatch):
+    """``sweep --out`` naming an existing file, or a path under one, used to
+    parse, then fail to make the directory and exit 2.  Argparse rejects it."""
+    trials = []
+    monkeypatch.setattr(cli, "_run_trial", lambda spec: trials.append(spec))
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--sizes", "2", "--seeds", "0:1", "--out", str(blocker / below)])
+    assert info.value.code == 1
+    assert f"argument --out: not a directory: {blocker}" in capsys.readouterr().err
+    assert not trials and blocker.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_sweep_out_may_name_a_new_nested_directory(tmp_path):
+    """A missing directory whose nearest existing ancestor is a directory is made."""
+    args = build_parser().parse_args(["sweep", "--sizes", "2", "--seeds", "0:1", "--out", str(tmp_path / "a" / "b")])
+    assert args.out == str(tmp_path / "a" / "b")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_sweep_rejects_jobs_below_one(jobs, tmp_path, capsys):
     """Used to run serially (``max(1, jobs)``)."""

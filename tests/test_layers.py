@@ -6,6 +6,8 @@ per-layer metrics silently read 0, so the boundaries are pinned here.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,8 @@ import numpy as np
 from swarmplan import sim, solver
 from swarmplan.scenario import generate_random
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def load_spans():
@@ -35,3 +38,16 @@ def test_every_layer_boundary_is_found_and_called(monkeypatch):
     called = {name for name, count in zip(tracer.names, counts) if count}
     assert called == {name for *_, name in calls}
     assert {f"solver.s{k}" for k in range(1, 6)} <= called
+
+
+def test_perfbench_selftest_passes():
+    """The benchmark's own output checks pass on a clean mission and catch every corruption.
+
+    The self-test keeps a problem past its round and checks its plan
+    against ``problem.snapshot``, so it is also the check that a snapshot
+    must not change after its solve.
+    """
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")], capture_output=True, text=True, timeout=300, check=False
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

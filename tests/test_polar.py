@@ -3,7 +3,7 @@ import pytest
 
 from swarmplan.polar import EllipsoidShape, bf_lower_bound, clipped_magnitude, omega, project_scaled
 
-from oracles import grid_search_angles, projection_objective, ternary_search_magnitude
+from oracles import grid_search_angles, projection_objective, reference_clipped_magnitude, ternary_search_magnitude
 
 UNIT = EllipsoidShape(1.0, 1.0, 1.0)
 
@@ -146,6 +146,25 @@ def test_degenerate_magnitude_row_leaves_the_other_rows_unchanged():
     mixed = clipped_magnitude(diff, omega_rows, scales, lo, hi)
     assert mixed[7] == lo[7]
     assert np.array_equal(np.delete(mixed, 7), np.delete(regular, 7))
+
+
+@pytest.mark.parametrize("n", [1, 40])
+def test_clipped_magnitude_keeps_the_bits_of_np_clip(n):
+    """The clip is ``np.clip``'s own maximum-then-minimum: NaN vertices stay NaN,
+    an infinite upper bound clips nothing, a crossed interval gives ``hi``."""
+    rng = np.random.default_rng(n)
+    diff = rng.normal(size=(n, 3))
+    diff[::3, 1] = np.nan
+    omega_rows = omega(rng.uniform(-np.pi, np.pi, n), rng.uniform(0.0, np.pi, n))
+    scales = rng.uniform(0.2, 2.0, (n, 3))
+    scales[1::5] = 1e-7  # degenerate rows take the lower bound
+    lo = rng.uniform(-1.0, 0.5, n)
+    hi = np.where(rng.uniform(size=n) < 0.5, np.inf, rng.uniform(-0.5, 1.0, n))
+    for bounds in ((lo, hi), (0.0, np.inf), (lo, np.inf), (-np.inf, hi)):
+        actual = clipped_magnitude(diff, omega_rows, scales, *bounds)
+        expected = reference_clipped_magnitude(diff, omega_rows, scales, *bounds)
+        assert actual.tobytes() == expected.tobytes()
+    assert np.isnan(clipped_magnitude(diff, omega_rows, scales, lo, hi)[0])
 
 
 def test_bf_lower_bound_values():

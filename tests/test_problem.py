@@ -456,3 +456,65 @@ def test_step0_bounds_admit_measured_state(basis30, default_config):
     hover = assemble(AgentSnapshot(position=np.zeros(3), goal=np.ones(3)), [], basis30, cfg)
     assert hover.hi_bounds[0] == cfg.v_max
     assert hover.lo_base[K] == cfg.f_min and hover.hi_bounds[K] == cfg.f_max
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("position", [0.0, np.nan, 1.0]),
+        ("goal", [np.inf, 0.0, 0.0]),
+        ("velocity", [1.0, 2.0]),
+        ("acceleration", [[0.0], [0.0], [0.0]]),
+    ],
+)
+def test_agent_snapshot_names_its_bad_field(field, value):
+    fields = {"position": np.zeros(3), "goal": np.ones(3), field: value}
+    with pytest.raises(ValueError, match=f"{field} must be a finite 3-vector"):
+        AgentSnapshot(**fields)
+
+
+def test_agent_snapshot_holds_float_copies_of_its_vectors():
+    """The fields are converted once, stacked, so a later write to an input cannot reach the snapshot."""
+    position, goal = np.array([1, 2, 3]), np.array([0.5, 0.5, 1.0])
+    snapshot = AgentSnapshot(position=position, goal=goal, velocity=[0, 0, 1])
+    goal[0] = 9.0
+    assert snapshot.goal[0] == 0.5 and snapshot.position.dtype == float
+    np.testing.assert_array_equal(snapshot.position, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(snapshot.velocity, [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(snapshot.acceleration, np.zeros(3))
+
+
+def test_goal_cost_and_bound_vector_are_built_once_per_goal_and_box(default_config):
+    """``q`` and ``h`` keep the bits of the per-problem formula, are read-only,
+    and are shared by every round with the same goal and config object."""
+    basis = build_basis(30, 10, 0.1)
+    cfg, K = default_config, basis.K
+    first = make_problem(basis, cfg, [-1, 0, 1], [1, 0, 1], [cylinder_target(0.4, 0.1, 0.3)])
+    later = make_problem(basis, cfg, [0.2, 0.1, 1], [1, 0, 1])
+    Wk = basis.W[K - cfg.kappa :, :]
+    q = np.concatenate([-2.0 * cfg.w_goal * (Wk.T @ np.full(cfg.kappa, g)) for g in np.array([1.0, 0.0, 1.0])])
+    h = np.concatenate([np.repeat(np.asarray(cfg.p_max), K), np.repeat(-np.asarray(cfg.p_min), K)])
+    assert first.q.tobytes() == q.tobytes() and first.h.tobytes() == h.tobytes()
+    assert later.q is first.q and later.h is first.h
+    for name in ("q", "h"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(first, name)[0] = 1.0
+    assert make_problem(basis, cfg, [-1, 0, 1], [1, 0, 1.5]).q is not first.q
+    # A box that compares equal but has another signed zero keeps its own bits.
+    signed = PlanningConfig(p_min=(-2.05, -2.05, 0.0), p_max=cfg.p_max)
+    unsigned = PlanningConfig(p_min=(-2.05, -2.05, -0.0), p_max=cfg.p_max)
+    assert signed == unsigned
+    h_signed = make_problem(basis, signed, [0, 0, 1], [1, 0, 1]).h
+    h_unsigned = make_problem(basis, unsigned, [0, 0, 1], [1, 0, 1]).h
+    assert np.signbit(h_signed[-1]) and not np.signbit(h_unsigned[-1])
+
+
+def test_barrier_step0_bounds_are_built_only_below_gamma_one(basis30):
+    """At gamma < 1 the step-0 barrier bounds, ``min(bf_lower_bound(anchor), min(1, anchor))``,
+    are computed once per problem; at gamma = 1 S3 does not read them."""
+    targets = [cylinder_target(0.0, 0.0, 0.3), cylinder_target(1.0, 0.0, 0.3)]
+    start, goal = [-0.27, 0.0, 1.0], [-1.5, 0.0, 1.0]
+    barrier = make_problem(basis30, PlanningConfig(gamma=0.9), start, goal, targets)
+    expected = np.minimum(1.0 + (1.0 - 0.9) * (barrier.anchors - 1.0), np.minimum(1.0, barrier.anchors))
+    assert barrier.barrier_lo_step0.tobytes() == expected.tobytes()
+    assert make_problem(basis30, PlanningConfig(gamma=1.0), start, goal, targets).barrier_lo_step0 is None

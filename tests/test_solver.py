@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from swarmplan import sim, solver
@@ -24,7 +26,7 @@ from swarmplan.solver import (
 )
 
 from conftest import cylinder_target, make_problem, random_full_instance
-from oracles import dense_kkt_qp, refit_coefficients, ternary_search_magnitude
+from oracles import dense_kkt_qp, reference_advance, reference_s3, refit_coefficients, ternary_search_magnitude
 
 
 def small_problem(seed=0, with_target=True):
@@ -74,16 +76,26 @@ def plain_bound_clip(problem, samples, omega_rows):
     return clipped_magnitude(samples - problem.centers, omega_rows, problem.scales, problem.lo_base, problem.hi_bounds)
 
 
+def assert_same_bits(actual, expected, err_msg=""):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape, err_msg
+    assert actual.tobytes() == expected.tobytes(), err_msg
+
+
 def check_s3_against_plain_bound(monkeypatch):
     """Make every S3 the solver runs assert that it equals :func:`plain_bound_clip` bit for bit.
 
-    Returns the list that records the number of collision targets of each checked call.
+    S3 skips the barrier at gamma = 1, so each call is also held to the
+    barrier written out (``oracles.reference_s3``): the barrier at gamma = 1
+    must be the plain bound, not only be replaced by it.  Returns the list
+    that records the number of collision targets of each checked call.
     """
     calls = []
 
     def checked(problem, state, samples, omega_rows):
         d = step_s3(problem, state, samples, omega_rows)
-        np.testing.assert_array_equal(d, plain_bound_clip(problem, samples, omega_rows))
+        assert_same_bits(d, plain_bound_clip(problem, samples, omega_rows))
+        assert_same_bits(d, reference_s3(problem, state, samples, omega_rows))
         calls.append(problem.M)
         return d
 
@@ -298,7 +310,9 @@ def test_s3_bf_gamma_one_is_bitwise_standard():
         state.zeta1 = refit_coefficients(problem.basis, centers + rng.normal(0.0, 0.1, centers.shape))
         samples, *_, omega_rows = updated_angles(problem, state)
         d = step_s3(problem, state, samples, omega_rows)
-        np.testing.assert_array_equal(d, plain_bound_clip(problem, samples, omega_rows))
+        # The barrier written out, from the random previous magnitudes, gives the plain-bound clip.
+        assert_same_bits(reference_s3(problem, state, samples, omega_rows), plain_bound_clip(problem, samples, omega_rows))
+        assert_same_bits(d, reference_s3(problem, state, samples, omega_rows))
         assert np.any(d[problem.col_rows] == 1.0)
 
 
@@ -438,7 +452,7 @@ def test_solve_gamma_sweep_increases_clearance(basis30):
 
 
 def test_solve_bf_gamma_one_bitwise_matches_standard(basis30, monkeypatch):
-    """At gamma = 1 every S3 of a solve is the plain-bound clip, bit for bit."""
+    """At gamma = 1 every S3 of a solve is the plain-bound clip and the barrier written out, bit for bit."""
     calls = check_s3_against_plain_bound(monkeypatch)
     rng = np.random.default_rng(12)
     config = PlanningConfig(gamma=1.0)
@@ -559,6 +573,43 @@ def test_solve_runs_past_the_float_range_of_the_schedule(basis30, default_config
     zeta, diag = solve(problem)
     assert diag.iterations == 3000 and not diag.converged
     assert np.all(np.isfinite(zeta))
+
+
+def bit_instance(basis, seed, M, gamma):
+    """A random problem with ``M`` targets near the agent's path, some of which start inside their envelope."""
+    rng = np.random.default_rng(seed)
+    start, goal = rng.uniform([-1.5, -1.5, 0.4], [1.5, 1.5, 1.6], (2, 3))
+    snapshot = AgentSnapshot(
+        position=start, goal=goal, velocity=rng.uniform(-1.0, 1.0, 3), acceleration=rng.uniform(-2.0, 2.0, 3)
+    )
+    steps = np.linspace(0.0, 1.0, basis.K)[:, None]
+    targets = []
+    for _ in range(M):
+        a, b = start + (goal - start) * rng.uniform(0.0, 1.0, 2)[:, None] + rng.normal(0.0, 0.3, (2, 3))
+        if rng.uniform() < 0.5:
+            targets.append(ConstraintTarget("neighbor", PlanningConfig.theta_agent, a + (b - a) * steps))
+        else:
+            targets.append(cylinder_target(a[0], a[1], rng.uniform(0.2, 0.4), K=basis.K))
+    return assemble(snapshot, targets, basis, PlanningConfig(gamma=gamma))
+
+
+@settings(max_examples=24, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), M=st.integers(0, 4), gamma=st.sampled_from([0.0, 0.9, 1.0]))
+def test_advance_keeps_the_bits_of_the_reference_iteration(basis30, seed, M, gamma):
+    """:func:`advance` skips the barrier at gamma = 1, clips with ``minimum(maximum(...))``
+    and builds the target rows once; every array of the iterate stays the
+    reference iteration's bit for bit, past the penalty cap at iteration 51."""
+    problem = bit_instance(basis30, seed, M, gamma)
+    state, reference = SolverState.cold(problem), SolverState.cold(problem)
+    for k in range(60):
+        advance(problem, state)
+        reference_advance(problem, reference)
+        for name in ("zeta1", "alpha", "beta", "d", "lam", "slack", "b"):
+            assert_same_bits(getattr(state, name), getattr(reference, name), f"{name} at iteration {k + 1}")
+        assert_same_bits(state.factor[2], reference.factor[2], f"v at iteration {k + 1}")
+        for name in ("rho", "iter", "eq_residual", "ineq_residual"):
+            assert_same_bits(getattr(state, name), getattr(reference, name), f"{name} at iteration {k + 1}")
+    assert state.rho == solver.RHO_CAP
 
 
 def test_slack_nonnegative_along_iterations():
