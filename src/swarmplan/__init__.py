@@ -19,7 +19,6 @@ from .problem import (
     PlanningConfig,
     PlanningProblem,
     assemble,
-    build_b,
     detect_conflicts,
 )
 from .scenario import Obstacle, Scenario, antipodal, generate_random, load_scenario, save_scenario
@@ -42,7 +41,6 @@ __all__ = [
     "antipodal",
     "assemble",
     "bf_lower_bound",
-    "build_b",
     "build_basis",
     "check_collision",
     "check_goal_reached",

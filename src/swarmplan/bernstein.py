@@ -23,13 +23,9 @@ class BasisSet:
     the derivative matrices ``W1`` (1/s) and ``W2`` (1/s^2) sum to zero.
     Instances are safe to share across agent solvers.  The matrices are
     fixed; ``W_all`` stacks ``W``, ``W1`` and ``W2`` so that one product
-    samples all three.  ``problem_table`` starts empty and holds, by conflict
-    count M, the problem structure every agent planning on this basis shares
-    (see :func:`swarmplan.problem.shared_structure`), so it lives as long as
-    the basis.  ``agent_table`` likewise holds the goal-cost and bound
-    vectors that every round of an agent reuses (see
-    :func:`swarmplan.problem.goal_cost` and
-    :func:`swarmplan.problem.bound_vector`).
+    samples all three.  ``table`` starts empty and holds, keyed by value,
+    the read-only arrays that problems planned on this basis share (see
+    :func:`swarmplan.problem.cached`), so it lives as long as the basis.
     """
 
     K: int
@@ -39,8 +35,7 @@ class BasisSet:
     W1: np.ndarray
     W2: np.ndarray
     W_all: np.ndarray = field(init=False, repr=False, compare=False)
-    problem_table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    agent_table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "W_all", np.vstack([self.W, self.W1, self.W2]))

@@ -14,11 +14,14 @@ one block of K collision rows per target in target-list order.
 Only the right-hand sides, bounds and centers depend on the agent.  The
 matrices depend on the basis and the number M of targets alone, so every
 problem with the same basis and M shares one read-only
-:class:`SharedStructure`, built on first use (:func:`shared_structure`).
+:class:`SharedStructure`, built on first use and kept, like every other
+value problems share, in the basis's table (:func:`cached`).
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -59,6 +62,8 @@ class PlanningConfig:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         p_min, p_max = np.asarray(self.p_min, dtype=float), np.asarray(self.p_max, dtype=float)
+        if p_min.shape != (3,) or p_max.shape != (3,):
+            raise ValueError(f"workspace bounds must be 3-vectors, got p_min={self.p_min}, p_max={self.p_max}")
         if not (np.all(np.isfinite(p_min)) and np.all(np.isfinite(p_max))):
             raise ValueError(f"workspace bounds must be finite, got p_min={self.p_min}, p_max={self.p_max}")
         if np.any(p_min >= p_max):
@@ -182,9 +187,7 @@ class SharedStructure:
     copies: the gravity offset on the thrust rows, unit scales, the speed
     and thrust bands, and a collision lower bound of 1; a problem fills in
     its target rows and step-0 bounds.  Every array is read-only, since
-    every agent and round on the basis reads it.  ``factors`` maps a penalty
-    ``rho`` to the Cholesky factor of the reduced S1 system
-    ``Z'(Q + rho * gram)Z`` of these same matrices; S1 fills it on first use.
+    every agent and round on the basis reads it.
     """
 
     M: int
@@ -201,7 +204,6 @@ class SharedStructure:
     scales: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for value in vars(self).values():
@@ -209,7 +211,23 @@ class SharedStructure:
                 value.flags.writeable = False
 
 
-_M_INDEPENDENT = ("Q", "G", "GT", "C", "null_basis", "null_basis_T", "C_pinv")
+def cached(basis: BasisSet, key, build, *args):
+    """The value ``build(*args)`` of ``key`` on ``basis``, built on first use and kept in ``basis.table``.
+
+    A key names its value given the basis: the M-independent arrays, a
+    conflict count ``M``, a goal's bytes, a box's bytes, or ``(M, rho)`` for
+    an S1 factor.  The value's arrays (the value itself, or the members of a
+    tuple or dict) are made read-only before it is stored, since every
+    problem on the basis reads them; a build that raises stores nothing.
+    """
+    value = basis.table.get(key)
+    if value is None:
+        value = build(*args)
+        for part in value.values() if isinstance(value, dict) else value if isinstance(value, tuple) else (value,):
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False
+        basis.table[key] = value
+    return value
 
 
 def _m_independent(basis: BasisSet) -> dict:
@@ -246,30 +264,35 @@ def _m_independent(basis: BasisSet) -> dict:
     }
 
 
-def shared_structure(basis: BasisSet, M: int) -> SharedStructure:
-    """The structure of every problem with ``M`` targets on ``basis``, built on first use.
+def _shared_structure(basis: BasisSet, M: int) -> SharedStructure:
+    """The structure of every problem with ``M`` targets on ``basis``, on the basis's one set of M-independent arrays."""
+    common = cached(basis, "M-independent", _m_independent, basis)
+    # Stacked constraint matrix: velocity, acceleration, collision blocks per axis.
+    A = np.kron(np.eye(3), np.vstack([basis.W1, basis.W2, np.tile(basis.W, (M, 1))]))
+    AT = np.ascontiguousarray(A.T)
+    K, n_rows = basis.K, basis.K * (2 + M)
+    centers = np.zeros((n_rows, 3))
+    centers[K : 2 * K, 2] = -GRAVITY
+    lo = np.ones(n_rows)
+    hi = np.full(n_rows, np.inf)
+    lo[:K], hi[:K] = 0.0, PlanningConfig.v_max
+    lo[K : 2 * K], hi[K : 2 * K] = PlanningConfig.f_min, PlanningConfig.f_max
+    gram = AT @ A + common["GT"] @ common["G"]
+    scales = np.ones((n_rows, 3))
+    return SharedStructure(M=M, AT=AT, gram=gram, centers=centers, scales=scales, lo=lo, hi=hi, **common)
 
-    It is kept in ``basis.problem_table``; the ``M``-independent arrays are
-    built with the first entry and reused by the others.
-    """
-    table = basis.problem_table
-    if M not in table:
-        first = next(iter(table.values()), None)
-        common = _m_independent(basis) if first is None else {name: getattr(first, name) for name in _M_INDEPENDENT}
-        # Stacked constraint matrix: velocity, acceleration, collision blocks per axis.
-        A = np.kron(np.eye(3), np.vstack([basis.W1, basis.W2, np.tile(basis.W, (M, 1))]))
-        AT = np.ascontiguousarray(A.T)
-        K, n_rows = basis.K, basis.K * (2 + M)
-        centers = np.zeros((n_rows, 3))
-        centers[K : 2 * K, 2] = -GRAVITY
-        lo = np.ones(n_rows)
-        hi = np.full(n_rows, np.inf)
-        lo[:K], hi[:K] = 0.0, PlanningConfig.v_max
-        lo[K : 2 * K], hi[K : 2 * K] = PlanningConfig.f_min, PlanningConfig.f_max
-        gram = AT @ A + common["GT"] @ common["G"]
-        scales = np.ones((n_rows, 3))
-        table[M] = SharedStructure(M=M, AT=AT, gram=gram, centers=centers, scales=scales, lo=lo, hi=hi, **common)
-    return table[M]
+
+def _goal_cost(basis: BasisSet, config: PlanningConfig, goal: np.ndarray) -> np.ndarray:
+    """The linear goal cost ``q`` of a problem heading for ``goal``: it reads the goal alone."""
+    Wk = basis.W[basis.K - config.kappa :, :]
+    return np.concatenate([-2.0 * config.w_goal * (Wk.T @ np.full(config.kappa, g)) for g in goal])
+
+
+def _bound_vector(basis: BasisSet, config: PlanningConfig) -> np.ndarray:
+    """The workspace bound vector ``h`` of a problem planned in ``config``'s box: it reads the box alone."""
+    p_min = np.asarray(config.p_min, dtype=float)
+    p_max = np.asarray(config.p_max, dtype=float)
+    return np.concatenate([np.repeat(p_max, basis.K), np.repeat(-p_min, basis.K)])
 
 
 class PlanningProblem:
@@ -296,11 +319,16 @@ class PlanningProblem:
     basis are read from ``shared``, the read-only :class:`SharedStructure`
     of the basis and ``M``.  The goal cost ``q`` and the bound vector ``h``
     are read-only too, shared by every problem on the basis with the same
-    goal (:func:`goal_cost`) and config (:func:`bound_vector`).  The
+    goal and the same box; the box is keyed by its bytes, so boxes that
+    differ only in the sign of a zero keep their own ``h``.  The
     agent's own data is ``e``, the row metadata (copies of the shared row
     templates with the target rows and step-0 bounds filled in) and
     ``zeta_particular``, the particular solution ``pinv(C) @ e`` of
     ``C z = e``.
+
+    A target whose track does not have ``K`` rows, or whose anchor is not
+    finite (a semi-axis so small that the scaled distance overflows), is
+    rejected with :class:`ValueError`.
     """
 
     def __init__(self, config: PlanningConfig, snapshot: AgentSnapshot, targets: list[ConstraintTarget], basis: BasisSet):
@@ -317,9 +345,10 @@ class PlanningProblem:
         self.n_coeffs = 3 * (n + 1)
         self.n_rows = K * (2 + M)  # constraint rows per axis
 
-        self.shared = shared_structure(basis, M)
-        self.q = goal_cost(basis, config, snapshot.goal)
-        self.h = bound_vector(basis, config)
+        self.shared = cached(basis, M, _shared_structure, basis, M)
+        self.q = cached(basis, ("goal", snapshot.goal.tobytes()), _goal_cost, basis, config, snapshot.goal)
+        box = struct.pack("6d", *config.p_min, *config.p_max)
+        self.h = cached(basis, ("box", box), _bound_vector, basis, config)
         self.e = np.column_stack([snapshot.position, snapshot.velocity, snapshot.acceleration]).ravel()
 
         # Constraint-row metadata shared by the solver steps: the center each row
@@ -331,10 +360,14 @@ class PlanningProblem:
         hi = self.shared.hi.copy()
         anchors = np.empty(M)
         for j, target in enumerate(self.targets):
+            if len(target.predicted_centers) != K:
+                raise ValueError(f"predicted centers must have {K} rows, got {len(target.predicted_centers)}")
             rows = slice((2 + j) * K, (3 + j) * K)
             centers[rows] = target.predicted_centers
             scales[rows] = target.shape.as_array
             anchors[j] = np.linalg.norm((snapshot.position - target.predicted_centers[0]) / target.shape.as_array)
+            if not math.isfinite(anchors[j]):
+                raise ValueError(f"target {j} ({target.kind}, {target.shape}) lies at a non-finite scaled distance")
         # C z = e pins every family's step-0 sample to the measured state, so
         # the step-0 bounds must admit it or the residual can never vanish.
         speed0 = np.linalg.norm(snapshot.velocity)
@@ -361,40 +394,12 @@ class PlanningProblem:
         """Arrange sampled kinematics into constraint-row order (n_rows x 3)."""
         return np.concatenate([vel, acc, *[pos] * self.M])
 
+    def target_rows(self, d: np.ndarray, omega_rows: np.ndarray) -> np.ndarray:
+        """Per-row targets ``center + scale * d * omega`` for one magnitude and unit direction per row (n_rows x 3).
 
-def goal_cost(basis: BasisSet, config: PlanningConfig, goal: np.ndarray) -> np.ndarray:
-    """The linear goal cost ``q`` of every problem on ``basis`` that heads for ``goal``, read-only.
-
-    It depends on the goal alone, so it is built once per goal, keyed by the
-    goal's bytes, and kept in ``basis.agent_table``.
-    """
-    key = ("q", goal.tobytes())
-    q = basis.agent_table.get(key)
-    if q is None:
-        Wk = basis.W[basis.K - config.kappa :, :]
-        q = np.concatenate([-2.0 * config.w_goal * (Wk.T @ np.full(config.kappa, g)) for g in goal])
-        q.flags.writeable = False
-        basis.agent_table[key] = q
-    return q
-
-
-def bound_vector(basis: BasisSet, config: PlanningConfig) -> np.ndarray:
-    """The workspace bound vector ``h`` of every problem on ``basis`` planned with ``config``, read-only.
-
-    It depends on the box alone, so it is built once per config object and
-    kept in ``basis.agent_table``.  The entry holds the config, so its ``id``
-    cannot be reused by another; equal configs are not merged, since boxes
-    that compare equal can differ in the sign of a zero.
-    """
-    key = ("h", id(config))
-    entry = basis.agent_table.get(key)
-    if entry is None or entry[0] is not config:
-        p_min = np.asarray(config.p_min, dtype=float)
-        p_max = np.asarray(config.p_max, dtype=float)
-        h = np.concatenate([np.repeat(p_max, basis.K), np.repeat(-p_min, basis.K)])
-        h.flags.writeable = False
-        entry = basis.agent_table[key] = (config, h)
-    return entry[1]
+        Column ``i`` is axis ``i``'s block of the target vector ``b`` of ``A z = b``.
+        """
+        return self.centers + self.scales * (d[:, None] * omega_rows)
 
 
 def assemble(
@@ -405,19 +410,3 @@ def assemble(
 ) -> PlanningProblem:
     """Build the optimization data for one agent and planning round."""
     return PlanningProblem(config, snapshot, targets, basis)
-
-
-def build_b(problem: PlanningProblem, d: np.ndarray, omega_rows: np.ndarray) -> np.ndarray:
-    """Stacked target vector matching the row layout of ``A = shared.AT.T``.
-
-    ``d`` holds one magnitude and ``omega_rows`` one unit direction per
-    constraint row.  Every constraint row contributes
-    ``center + scale * d * omega`` per axis; velocity rows are centered at
-    zero, acceleration rows carry the gravity offset on z, and collision rows
-    are centered on the target positions with the ellipsoid semi-axes as
-    scales.
-    """
-    if d.shape != (problem.n_rows,):
-        raise ValueError(f"magnitudes must have {problem.n_rows} rows, got {d.shape}")
-    rows = problem.centers + problem.scales * (d[:, None] * omega_rows)
-    return rows.T.ravel()

@@ -31,7 +31,7 @@ from scipy.linalg.lapack import dpotrs
 
 from .bernstein import sample_trajectory
 from .polar import bf_lower_bound, clipped_magnitude, omega, project_scaled
-from .problem import PlanningProblem, build_b
+from .problem import PlanningProblem, cached
 
 # Penalty schedule rho_k = min(RHO_BASE**k, RHO_CAP).  rho >= 1 at every
 # iteration keeps the reduced S1 Hessian positive definite (see step_s1).
@@ -72,10 +72,10 @@ class SolverConfig:
 class SolverState:
     """Iterate carried across the S1..S5 updates.
 
-    ``alpha``, ``beta`` and ``d`` hold the polar variables, one per
-    constraint row in the problem's row layout: the azimuth, the polar angle
-    in [0, pi] and the magnitude in the family's own units.  ``b`` is the
-    target vector the next S1 reads.  ``factor`` holds
+    ``d`` holds the magnitudes, one per constraint row in the problem's row
+    layout, in the family's own units; the angles of the same iteration live
+    only as the directions S3 and ``b`` read.  ``b`` is the target vector
+    the next S1 reads.  ``factor`` holds
     ``(rho, cho, v)``: the shared factor of the reduced S1 system at penalty
     ``rho`` and the problem's reduced right-hand-side offset ``v``; the
     penalty never decreases within a solve, so S1 looks them up again
@@ -83,8 +83,6 @@ class SolverState:
     """
 
     zeta1: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
     d: np.ndarray
     lam: np.ndarray
     slack: np.ndarray
@@ -99,24 +97,23 @@ class SolverState:
     def cold(cls, problem: PlanningProblem) -> "SolverState":
         """Zero coefficients, polar variables, multipliers and slacks.
 
-        The first target vector is built from the zero polar variables; then
-        the collision magnitudes are set to the measured anchors, so the
-        barrier's first bound reads the measured state rather than the zero
-        placeholder, which would make it looser than the plain bound 1.
+        The first target vector is built from zero magnitudes and angles by
+        the row code :func:`advance` uses; then the collision magnitudes are
+        set to the measured anchors, so the barrier's first bound reads the
+        measured state rather than the zero placeholder, which would make it
+        looser than the plain bound 1.
         """
-        alpha, beta, d = np.zeros(problem.n_rows), np.zeros(problem.n_rows), np.zeros(problem.n_rows)
-        state = cls(
+        d = np.zeros(problem.n_rows)
+        b = problem.target_rows(d, omega(d, d)).T.ravel()
+        d[problem.col_rows] = np.repeat(problem.anchors, problem.K)
+        return cls(
             zeta1=np.zeros(problem.n_coeffs),
-            alpha=alpha,
-            beta=beta,
             d=d,
             lam=np.zeros(problem.n_coeffs),
             slack=np.zeros(problem.h.size),
-            b=build_b(problem, d, omega(alpha, beta)),
+            b=b,
             rho=rho_at(0),
         )
-        d[problem.col_rows] = np.repeat(problem.anchors, problem.K)
-        return state
 
 
 @dataclass
@@ -141,22 +138,18 @@ def step_s1(problem: PlanningProblem, state: SolverState) -> np.ndarray:
     A singular reduced system raises :class:`numpy.linalg.LinAlgError`.
 
     The reduced Hessian depends only on the basis, ``M`` and ``rho``, so its
-    factor is read from, or on first use stored in, ``problem.shared.factors``,
-    beside the ``Q``, ``gram`` and null basis it was built from, for every
-    agent and round to share.  ``v``, the reduced image of the agent's
-    particular solution, is the problem's own; ``state.factor`` keeps it and
-    the factor while ``state.rho`` stays at their penalty.
+    factor is kept in the basis's table under ``(M, rho)`` (see
+    :func:`swarmplan.problem.cached`) for every agent and round to share.
+    ``v``, the reduced image of the agent's particular solution, is the
+    problem's own; ``state.factor`` keeps it and the factor while
+    ``state.rho`` stays at their penalty.
     """
     rho = state.rho
     shared = problem.shared
     Z, ZT = shared.null_basis, shared.null_basis_T
     if state.factor is None or state.factor[0] != rho:
         A_hat = shared.Q + rho * shared.gram
-        cho = shared.factors.get(rho)
-        if cho is None:
-            cho = cho_factor(ZT @ A_hat @ Z, lower=True, check_finite=False)
-            cho[0].flags.writeable = False
-            shared.factors[rho] = cho
+        cho = cached(problem.basis, (problem.M, rho), _reduced_factor, ZT, A_hat, Z)
         state.factor = (rho, cho, ZT @ (A_hat @ problem.zeta_particular))
     _, (c, lower), v = state.factor
     rhs = state.lam - problem.q
@@ -167,6 +160,11 @@ def step_s1(problem: PlanningProblem, state: SolverState) -> np.ndarray:
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return problem.zeta_particular + Z @ y
+
+
+def _reduced_factor(ZT: np.ndarray, A_hat: np.ndarray, Z: np.ndarray) -> tuple:
+    """Lower Cholesky factor of the reduced S1 system ``Z' A_hat Z``."""
+    return cho_factor(ZT @ A_hat @ Z, lower=True, check_finite=False)
 
 
 def sample_rows(problem: PlanningProblem, zeta1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,20 +178,21 @@ def sample_rows(problem: PlanningProblem, zeta1: np.ndarray) -> tuple[np.ndarray
     return problem.stack_samples(pos, vel, acc), np.concatenate([pos_axis, -pos_axis])
 
 
-def step_s2(problem: PlanningProblem, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Angle update: independently project every constraint row's difference."""
-    return project_scaled((samples - problem.centers) / problem.scales)
+def step_s2(problem: PlanningProblem, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angle update: independently project every constraint row's difference ``samples - centers``."""
+    return project_scaled(diff / problem.scales)
 
 
 def step_s3(
     problem: PlanningProblem,
     state: SolverState,
-    samples: np.ndarray,
+    diff: np.ndarray,
     omega_rows: np.ndarray,
 ) -> np.ndarray:
     """Magnitude update: per-row quadratic vertex clipped into the feasible interval.
 
-    ``omega_rows`` holds the directions of the angles just updated.  The
+    ``diff`` holds every row's difference ``samples - centers`` and
+    ``omega_rows`` the directions of the angles just updated.  The
     collision lower bounds follow the barrier rule
     ``1 + (1 - gamma) * (d_prev - 1)`` at ``problem.config.gamma``, where
     ``d_prev`` is the previous iterate's magnitude one step earlier and, for
@@ -217,7 +216,7 @@ def step_s3(
         bound = lo[problem.col_rows].reshape(problem.M, problem.K)  # a view into lo
         bound[:, 0] = problem.barrier_lo_step0
         bound[:, 1:] = bf_lower_bound(d_prev[:, :-1], problem.config.gamma)
-    return clipped_magnitude(samples - problem.centers, omega_rows, problem.scales, lo, problem.hi_bounds)
+    return clipped_magnitude(diff, omega_rows, problem.scales, lo, problem.hi_bounds)
 
 
 def step_s4(problem: PlanningProblem, gz: np.ndarray) -> np.ndarray:
@@ -239,12 +238,12 @@ def advance(problem: PlanningProblem, state: SolverState) -> None:
     """
     state.zeta1 = step_s1(problem, state)
     samples, gz = sample_rows(problem, state.zeta1)
-    state.alpha, state.beta = step_s2(problem, samples)
-    omega_rows = omega(state.alpha, state.beta)
-    state.d = step_s3(problem, state, samples, omega_rows)
+    diff = samples - problem.centers
+    omega_rows = omega(*step_s2(problem, diff))
+    state.d = step_s3(problem, state, diff, omega_rows)
     state.slack = step_s4(problem, gz)
-    # The target rows of build_b, kept in row form so the residual needs no second transpose.
-    rows = problem.centers + problem.scales * (state.d[:, None] * omega_rows)
+    # b and the residual A z - b both read the target rows, so they are built once, in row form.
+    rows = problem.target_rows(state.d, omega_rows)
     state.b = rows.T.ravel()
     r_eq = (samples - rows).T.ravel()
     viol = np.maximum(gz - problem.h, 0.0)

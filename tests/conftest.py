@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from swarmplan.bernstein import build_basis
 from swarmplan.polar import EllipsoidShape
 from swarmplan.problem import AgentSnapshot, ConstraintTarget, PlanningConfig, assemble
+
+# One profile for every property test: the same cases on every run, with no
+# example database, and no per-case deadline, since case times vary by machine.
+# Each test sets only its own max_examples.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

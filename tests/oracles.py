@@ -7,8 +7,9 @@ and the basis-derivative oracle a finite difference of directly evaluated
 basis functions.  Two references are exceptions, written to be matched bit
 for bit rather than to tolerance: the problem-matrix reference repeats, from
 scratch per problem, the arithmetic the library now shares across problems,
-and :func:`reference_advance` is the AM iteration as written before its
-numpy calls were cut.
+:func:`build_b` is the target vector as first written, and
+:func:`reference_advance` is the AM iteration as written before its numpy
+calls were cut.
 """
 
 import math
@@ -19,7 +20,6 @@ from scipy.linalg import null_space, pinv
 from scipy.special import comb
 
 from swarmplan.polar import omega
-from swarmplan.problem import build_b
 from swarmplan.solver import rho_at, sample_rows, step_s1, step_s2, step_s4, step_s5
 
 # Trig tables for the coarse grid are instance-independent.
@@ -201,6 +201,22 @@ def reference_problem_matrices(basis, M, e, kappa, w_goal, w_smooth):
     }
 
 
+def build_b(problem, d, omega_rows):
+    """Stacked target vector matching the row layout of ``A = shared.AT.T``.
+
+    ``d`` holds one magnitude and ``omega_rows`` one unit direction per
+    constraint row.  Every constraint row contributes
+    ``center + scale * d * omega`` per axis; velocity rows are centered at
+    zero, acceleration rows carry the gravity offset on z, and collision rows
+    are centered on the target positions with the ellipsoid semi-axes as
+    scales.
+    """
+    if d.shape != (problem.n_rows,):
+        raise ValueError(f"magnitudes must have {problem.n_rows} rows, got {d.shape}")
+    rows = problem.centers + problem.scales * (d[:, None] * omega_rows)
+    return rows.T.ravel()
+
+
 def reference_clipped_magnitude(diff, omega_rows, scales, lo, hi):
     """The magnitude update as first written: quadratic vertex per row, then ``np.clip``."""
     scaled_dir = scales * omega_rows
@@ -211,7 +227,7 @@ def reference_clipped_magnitude(diff, omega_rows, scales, lo, hi):
     return np.clip(vertex, lo, hi)
 
 
-def reference_s3(problem, state, samples, omega_rows):
+def reference_s3(problem, state, diff, omega_rows):
     """S3 with the barrier bounds built at every gamma, 1 included, from the previous magnitudes.
 
     Collision row bounds are ``1 + (1 - gamma) * (d_prev - 1)`` with
@@ -229,22 +245,22 @@ def reference_s3(problem, state, samples, omega_rows):
         bound[:, 0] = np.minimum(bound[:, 0], problem.col_lo_step0)
         lo = lo.copy()
         lo[problem.col_rows] = bound.ravel()
-    return reference_clipped_magnitude(samples - problem.centers, omega_rows, problem.scales, lo, problem.hi_bounds)
+    return reference_clipped_magnitude(diff, omega_rows, problem.scales, lo, problem.hi_bounds)
 
 
 def reference_advance(problem, state):
     """One AM iteration in place, as written before its numpy calls were cut.
 
-    It builds the barrier at every gamma (:func:`reference_s3`), clips with
-    ``np.clip``, and builds the target vector with ``build_b`` before it
+    It subtracts the row centers from the samples once for S2 and again for
+    S3, builds the barrier at every gamma (:func:`reference_s3`), clips with
+    ``np.clip``, and builds the target vector with :func:`build_b` before it
     subtracts it from the transposed samples.  S1, S2, S4, S5 and the
     sampling are the library's own.
     """
     state.zeta1 = step_s1(problem, state)
     samples, gz = sample_rows(problem, state.zeta1)
-    state.alpha, state.beta = step_s2(problem, samples)
-    omega_rows = omega(state.alpha, state.beta)
-    state.d = reference_s3(problem, state, samples, omega_rows)
+    omega_rows = omega(*step_s2(problem, samples - problem.centers))
+    state.d = reference_s3(problem, state, samples - problem.centers, omega_rows)
     state.slack = step_s4(problem, gz)
     state.b = build_b(problem, state.d, omega_rows)
     r_eq = samples.T.ravel() - state.b

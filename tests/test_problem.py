@@ -13,16 +13,19 @@ from swarmplan.problem import (
     ConstraintTarget,
     PlanningConfig,
     assemble,
-    build_b,
     detect_conflicts,
 )
 
 from conftest import cylinder_target, make_problem
-from oracles import dense_kkt_qp, reference_problem_matrices
+from oracles import build_b, dense_kkt_qp, reference_problem_matrices
 
 
 def target_vector(problem, alpha, beta, d):
-    return build_b(problem, d, omega(alpha, beta))
+    """The stacked target vector of the problem's row builder, which keeps the bits of ``build_b``."""
+    omega_rows = omega(alpha, beta)
+    b = problem.target_rows(d, omega_rows).T.ravel()
+    assert b.tobytes() == build_b(problem, d, omega_rows).tobytes()
+    return b
 
 
 def hover_plan(x, y, z, K=30):
@@ -63,7 +66,7 @@ def per_step_conflicts(plans, obstacles, cfg):
     ]
 
 
-@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@settings(max_examples=50)
 @given(
     n_agents=st.sampled_from([1, 2, 5, 32]),
     n_obstacles=st.integers(0, 5),
@@ -281,8 +284,8 @@ def test_problems_on_one_basis_share_one_structure_per_conflict_count(default_co
     first = make_problem(basis, default_config, [-1, 0, 1], [1, 0, 1], [target])
     second = make_problem(basis, default_config, [0, 1, 1], [1, 1, 0.5], [cylinder_target(-0.5, 0.0, 0.2)])
     free = make_problem(basis, default_config, [-1, 0, 1], [1, 0, 1])
-    assert second.shared is first.shared and basis.problem_table[1] is first.shared
-    assert free.shared is basis.problem_table[0] and free.shared is not first.shared
+    assert second.shared is first.shared and basis.table[1] is first.shared
+    assert free.shared is basis.table[0] and free.shared is not first.shared
     # The arrays M does not change are the same arrays for every M.
     for name in ("Q", "G", "GT", "C", "null_basis", "null_basis_T", "C_pinv"):
         assert getattr(free.shared, name) is getattr(first.shared, name), name
@@ -337,12 +340,13 @@ def test_problems_fill_their_rows_from_the_shared_templates(basis30, default_con
 def test_assemble_rejects_a_basis_that_cannot_pin_the_initial_state(default_config):
     """Below degree 2, ``C z = e`` cannot fix position, velocity and
     acceleration at step 0, whatever the state; the basis is rejected when
-    its shared structure is first built."""
+    its shared structure is first built, and the failed build leaves
+    nothing in the basis's table."""
     snapshot = AgentSnapshot(position=np.zeros(3), goal=np.ones(3))
     basis = build_basis(30, 1, 0.1)
     with pytest.raises(ValueError, match="inconsistent with the basis degree"):
         assemble(snapshot, [], basis, default_config)
-    assert basis.problem_table == {}
+    assert basis.table == {}
     assert assemble(snapshot, [], build_basis(30, 2, 0.1), default_config).M == 0
 
 
@@ -367,6 +371,8 @@ def test_planning_config_validation():
         PlanningConfig(gamma=1.2)
     with pytest.raises(ValueError):
         PlanningConfig(p_min=(0, 0, 0), p_max=(1, 0, 1))
+    with pytest.raises(ValueError, match="3-vectors"):
+        PlanningConfig(p_min=(0, 0), p_max=(1, 1))
 
 
 def test_planning_config_sets_only_gamma_and_box():
@@ -428,6 +434,27 @@ def test_build_b_rejects_mismatched_polar(basis30, default_config):
     problem = make_problem(basis30, default_config, [-1, 0, 1], [1, 0, 1])
     with pytest.raises(ValueError):
         build_b(problem, np.zeros(problem.n_rows + 3), np.zeros((problem.n_rows, 3)))
+    with pytest.raises(ValueError):
+        problem.target_rows(np.zeros(problem.n_rows + 3), np.zeros((problem.n_rows, 3)))
+
+
+@pytest.mark.parametrize("rows", [1, 29, 31])
+def test_assemble_rejects_a_track_without_k_rows(basis30, default_config, rows):
+    """A 1-row track used to be broadcast over the horizon, a static target;
+    29 rows failed inside numpy's copy."""
+    target = ConstraintTarget("obstacle", EllipsoidShape(0.3, 0.3, 0.3), hover_plan(1.0, 0.0, 1.0, K=rows))
+    with pytest.raises(ValueError, match="predicted centers must have 30 rows, got " + str(rows)):
+        make_problem(basis30, default_config, [-1, 0, 1], [1, 0, 1], [target])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_assemble_rejects_a_target_at_a_non_finite_anchor(basis30, default_config):
+    """A finite but tiny semi-axis makes the scaled distance overflow; the solve
+    then never converges (gamma = 1) or meets a NaN bound (gamma < 1)."""
+    tiny = ConstraintTarget("neighbor", EllipsoidShape(1e-200, 1e-200, 1e-200), hover_plan(1.0, 0.0, 1.0))
+    far = cylinder_target(0.0, 1.5, 0.3)
+    with pytest.raises(ValueError, match=r"target 1 \(neighbor, .*\) lies at a non-finite scaled distance"):
+        make_problem(basis30, default_config, [0, 0, 1], [1, 0, 1], [far, tiny])
 
 
 def test_step0_bounds_admit_measured_state(basis30, default_config):
@@ -486,7 +513,7 @@ def test_agent_snapshot_holds_float_copies_of_its_vectors():
 
 def test_goal_cost_and_bound_vector_are_built_once_per_goal_and_box(default_config):
     """``q`` and ``h`` keep the bits of the per-problem formula, are read-only,
-    and are shared by every round with the same goal and config object."""
+    and are shared by every round with the same goal and box."""
     basis = build_basis(30, 10, 0.1)
     cfg, K = default_config, basis.K
     first = make_problem(basis, cfg, [-1, 0, 1], [1, 0, 1], [cylinder_target(0.4, 0.1, 0.3)])
@@ -500,6 +527,9 @@ def test_goal_cost_and_bound_vector_are_built_once_per_goal_and_box(default_conf
         with pytest.raises(ValueError, match="read-only"):
             getattr(first, name)[0] = 1.0
     assert make_problem(basis, cfg, [-1, 0, 1], [1, 0, 1.5]).q is not first.q
+    # Another config object with the same box shares the same h.
+    same_box = PlanningConfig(gamma=0.9, p_min=tuple(cfg.p_min), p_max=tuple(cfg.p_max))
+    assert same_box is not cfg and make_problem(basis, same_box, [0, 0, 1], [1, 0, 1]).h is first.h
     # A box that compares equal but has another signed zero keeps its own bits.
     signed = PlanningConfig(p_min=(-2.05, -2.05, 0.0), p_max=cfg.p_max)
     unsigned = PlanningConfig(p_min=(-2.05, -2.05, -0.0), p_max=cfg.p_max)

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmplan import sim
 from swarmplan.polar import EllipsoidShape
@@ -86,6 +88,33 @@ def test_check_collision_matches_brute_force():
         got = {v[:2] for v in check_collision(separations(positions, obstacles, COLL.as_array))}
         expected = set(brute_force_collisions(positions, obstacles, COLL.as_array))
         assert got == expected
+
+
+@settings(max_examples=100)
+@given(
+    n_agents=st.integers(1, 6),
+    n_obstacles=st.integers(0, 3),
+    spread=st.floats(-3.0, 3.0),
+    size=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_separations_are_the_numpy_norms(n_agents, n_obstacles, spread, size, seed):
+    """Every separation carries the bits of ``np.linalg.norm`` of its pair's scaled
+    difference, for positions and semi-axes at scales from 1e-3 to 1e3."""
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(-1.0, 1.0, (n_agents, 3)) * 10.0**spread
+    coll_axes = rng.uniform(0.5, 2.0, 3) * 10.0**size
+    obstacles = [
+        (rng.uniform(-1.0, 1.0, 3) * 10.0**spread, rng.uniform(0.5, 2.0, 3) * 10.0**size) for _ in range(n_obstacles)
+    ]
+    pair, obstacle = separations(positions, obstacles, coll_axes)
+    i, j = np.triu_indices(n_agents, 1)
+    assert pair.shape == i.shape and obstacle.shape == (n_obstacles, n_agents)
+    for p in range(len(i)):
+        assert pair[p].tobytes() == np.linalg.norm((positions[i[p]] - positions[j[p]]) / coll_axes).tobytes()
+    for k, (center, axes) in enumerate(obstacles):
+        for a in range(n_agents):
+            assert obstacle[k, a].tobytes() == np.linalg.norm((positions[a] - center) / axes).tobytes()
 
 
 def test_goal_check_boundary_is_inclusive():
