@@ -210,7 +210,8 @@ def cmd_sweep(args) -> int:
     rows = []
     failures = 0
     # A failed trial is reported and counted, and the other trials still run.
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool starts all its workers at the first submit, so it is no larger than the trial count.
+    with ProcessPoolExecutor(max_workers=min(args.jobs, len(specs))) as pool:
         futures = [pool.submit(_run_trial, spec) for spec in specs]
         for spec, future in zip(specs, futures):
             try:

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import null_space, pinv
 
 from .bernstein import BasisSet
-from .polar import EllipsoidShape, bf_lower_bound
+from .polar import EllipsoidShape
 
 GRAVITY = 9.81
 
@@ -310,10 +310,8 @@ class PlanningProblem:
     state, so the step-0 rows admit it: speed cap ``max(v_max, |v0|)``,
     thrust band widened to include ``|a0 + g|``, and collision lower bound
     ``min(1, anchor)``, where ``anchors`` holds the measured scaled distance
-    to each target's step-0 center; ``col_lo_step0`` views those collision
-    bounds, one per target.  Below ``gamma = 1``, ``barrier_lo_step0`` holds
-    the barrier's step-0 collision bounds, which read only the anchors (see
-    :func:`swarmplan.solver.step_s3`); at ``gamma = 1`` it is ``None``.
+    to each target's step-0 center.  These are the only step-0 bounds: the
+    barrier of :func:`swarmplan.solver.step_s3` starts at step 1.
 
     The matrices ``Q``, ``AT``, ``G``/``GT``, ``C``, ``gram`` and the null
     basis are read from ``shared``, the read-only :class:`SharedStructure`
@@ -381,12 +379,7 @@ class PlanningProblem:
         self.lo_base = lo
         self.hi_bounds = hi
         self.col_rows = slice(2 * K, self.n_rows)
-        self.col_lo_step0 = lo[2 * K :: K]
         self.anchors = anchors
-        # The barrier's step-0 bounds read only the anchors; S3 reads them only below gamma = 1.
-        self.barrier_lo_step0 = None
-        if config.gamma < 1.0:
-            self.barrier_lo_step0 = np.minimum(bf_lower_bound(anchors, config.gamma), self.col_lo_step0)
 
         self.zeta_particular = self.shared.C_pinv @ self.e
 

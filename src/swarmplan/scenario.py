@@ -252,7 +252,7 @@ def load_scenario(path) -> Scenario:
             obstacles=obstacles,
             workspace=(doc["workspace"]["min"], doc["workspace"]["max"]),
         )
-    except (yaml.YAMLError, KeyError, TypeError, ValueError) as exc:
+    except (yaml.YAMLError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario file {path}: {exc}") from exc
     validate(scenario)
     return scenario

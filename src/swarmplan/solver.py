@@ -192,29 +192,25 @@ def step_s3(
     """Magnitude update: per-row quadratic vertex clipped into the feasible interval.
 
     ``diff`` holds every row's difference ``samples - centers`` and
-    ``omega_rows`` the directions of the angles just updated.  The
-    collision lower bounds follow the barrier rule
+    ``omega_rows`` the directions of the angles just updated.  From step 1
+    on, the collision lower bounds follow the barrier rule
     ``1 + (1 - gamma) * (d_prev - 1)`` at ``problem.config.gamma``, where
-    ``d_prev`` is the previous iterate's magnitude one step earlier and, for
-    step 0, the measured anchor.  Step 0 is pinned to the measured state,
-    so its bound is also capped at the assembled step-0 bound
-    ``min(1, anchor)``; that step-0 bound reads only the anchors, so the
-    problem holds it (``barrier_lo_step0``).  A cold start seeds the
-    previous magnitudes with the anchors (see :meth:`SolverState.cold`), so
-    the first bound reads the measured state.
+    ``d_prev`` is the previous iterate's magnitude one step earlier.  A cold
+    start seeds the previous magnitudes with the anchors (see
+    :meth:`SolverState.cold`), so the first bound reads the measured state.
+    Step 0 keeps the assembled bound of ``problem.lo_base``.
 
     The barrier bounds are built only when ``gamma < 1``.  With
-    ``gamma = 1`` the rule gives 1 for every finite ``d_prev`` and anchor,
-    and ``min(1, anchor)`` at step 0: the assembled ``problem.lo_base``, bit
-    for bit.  ``d_prev`` is finite whenever S3 runs, since a non-finite
-    magnitude makes the residual non-finite and :func:`solve` stops.
+    ``gamma = 1`` the rule gives 1 for every finite ``d_prev``: the
+    assembled bound, bit for bit.  ``d_prev`` is finite whenever S3 runs,
+    since a non-finite magnitude makes the residual non-finite and
+    :func:`solve` stops.
     """
     lo = problem.lo_base
     if problem.M and problem.config.gamma < 1.0:
         d_prev = state.d[problem.col_rows].reshape(problem.M, problem.K)
         lo = lo.copy()
         bound = lo[problem.col_rows].reshape(problem.M, problem.K)  # a view into lo
-        bound[:, 0] = problem.barrier_lo_step0
         bound[:, 1:] = bf_lower_bound(d_prev[:, :-1], problem.config.gamma)
     return clipped_magnitude(diff, omega_rows, problem.scales, lo, problem.hi_bounds)
 

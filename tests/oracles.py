@@ -230,19 +230,17 @@ def reference_clipped_magnitude(diff, omega_rows, scales, lo, hi):
 def reference_s3(problem, state, diff, omega_rows):
     """S3 with the barrier bounds built at every gamma, 1 included, from the previous magnitudes.
 
-    Collision row bounds are ``1 + (1 - gamma) * (d_prev - 1)`` with
-    ``d_prev`` the previous magnitude one step earlier and the anchor at step
-    0, where the bound is also capped at the assembled ``min(1, anchor)``.
+    Collision row bounds are ``min(1, anchor)`` at step 0, where the
+    measured state is pinned, and ``1 + (1 - gamma) * (d_prev - 1)`` from
+    step 1 on, with ``d_prev`` the previous magnitude one step earlier.
     """
     lo = problem.lo_base
     if problem.M:
         gamma = problem.config.gamma
         d_prev = state.d[problem.col_rows].reshape(problem.M, problem.K)
-        shifted = np.empty_like(d_prev)
-        shifted[:, 0] = problem.anchors
-        shifted[:, 1:] = d_prev[:, :-1]
-        bound = 1.0 + (1.0 - gamma) * (shifted - 1.0)
-        bound[:, 0] = np.minimum(bound[:, 0], problem.col_lo_step0)
+        bound = np.empty_like(d_prev)
+        bound[:, 0] = np.minimum(1.0, problem.anchors)
+        bound[:, 1:] = 1.0 + (1.0 - gamma) * (d_prev[:, :-1] - 1.0)
         lo = lo.copy()
         lo[problem.col_rows] = bound.ravel()
     return reference_clipped_magnitude(diff, omega_rows, problem.scales, lo, problem.hi_bounds)

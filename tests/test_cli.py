@@ -1,6 +1,7 @@
 import csv
 import json
 import shlex
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,39 @@ def test_sweep_rejects_jobs_below_one(jobs, tmp_path, capsys):
     assert not out.exists()
 
 
+class InlineExecutor:
+    """Stands in for ``ProcessPoolExecutor``: records ``max_workers`` and runs each call at submit."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize(("jobs", "seeds", "workers"), [("500", "0:1", 1), ("2", "0:3", 2), ("3", "0:2", 2)])
+def test_sweep_pool_is_no_larger_than_the_trial_count(jobs, seeds, workers, tmp_path, monkeypatch):
+    """The pool starts all its workers at the first submit, so ``--jobs 500``
+    with one trial must not ask for 500 processes."""
+    monkeypatch.setattr(InlineExecutor, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    out = tmp_path / "sweep"
+    spec = ["--sizes", "1", "--seeds", seeds, "--obstacles", "0", "--jobs", jobs]
+    assert main(["sweep", *spec, "--out", str(out)]) == 0
+    assert InlineExecutor.sizes == [workers]
+    assert len(read_rows(out / "trials.csv")) == int(seeds.split(":")[1])
+
+
 def test_sweep_rejects_unparsable_gamma(tmp_path, capsys):
     out = tmp_path / "sweep"
     with pytest.raises(SystemExit) as info:
@@ -280,8 +314,10 @@ def test_validate_scenario_exit_codes(scenario_file, tmp_path, capsys):
         b"obstacles:\n- {center: [-1, 1, 1], shape: [-0.3, 0.3, 1]}\n",
         b"seed: 0\n# \xff\xfe\n",
         b"seed: 0\nworkspace: {min: [-2, -2, 0], max: [2, 2, 2]}\nagents: []\n",
+        b"seed: .inf\nworkspace: {min: [-2, -2, 0], max: [2, 2, 2]}\nagents:\n- {start: [0, 0, 1], goal: [1, 0, 1]}\n",
+        b"seed: 1.0e+400\nworkspace: {min: [-2, -2, 0], max: [2, 2, 2]}\nagents:\n- {start: [0, 0, 1], goal: [1, 0, 1]}\n",
     ],
-    ids=["unterminated-flow-mapping", "negative-semi-axis", "not-utf8", "no-agents"],
+    ids=["unterminated-flow-mapping", "negative-semi-axis", "not-utf8", "no-agents", "infinite-seed", "overflowing-seed"],
 )
 def test_malformed_scenario_file_is_a_scenario_error(tmp_path, capsys, content):
     bad = tmp_path / "bad.yaml"

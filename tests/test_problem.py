@@ -15,6 +15,7 @@ from swarmplan.problem import (
     assemble,
     detect_conflicts,
 )
+from swarmplan.solver import SolverState, step_s3
 
 from conftest import cylinder_target, make_problem
 from oracles import build_b, dense_kkt_qp, reference_problem_matrices
@@ -539,12 +540,44 @@ def test_goal_cost_and_bound_vector_are_built_once_per_goal_and_box(default_conf
     assert np.signbit(h_signed[-1]) and not np.signbit(h_unsigned[-1])
 
 
-def test_barrier_step0_bounds_are_built_only_below_gamma_one(basis30):
-    """At gamma < 1 the step-0 barrier bounds, ``min(bf_lower_bound(anchor), min(1, anchor))``,
-    are computed once per problem; at gamma = 1 S3 does not read them."""
-    targets = [cylinder_target(0.0, 0.0, 0.3), cylinder_target(1.0, 0.0, 0.3)]
-    start, goal = [-0.27, 0.0, 1.0], [-1.5, 0.0, 1.0]
-    barrier = make_problem(basis30, PlanningConfig(gamma=0.9), start, goal, targets)
-    expected = np.minimum(1.0 + (1.0 - 0.9) * (barrier.anchors - 1.0), np.minimum(1.0, barrier.anchors))
-    assert barrier.barrier_lo_step0.tobytes() == expected.tobytes()
-    assert make_problem(basis30, PlanningConfig(gamma=1.0), start, goal, targets).barrier_lo_step0 is None
+def clip_to_lower_bounds(problem):
+    """S3 from a cold start with every row's difference zero, so every row clips to its lower bound."""
+    diff = np.zeros((problem.n_rows, 3))
+    omega_rows = np.tile([1.0, 0.0, 0.0], (problem.n_rows, 1))
+    return step_s3(problem, SolverState.cold(problem), diff, omega_rows)
+
+
+@settings(max_examples=60)
+@given(
+    gamma=st.one_of(st.sampled_from([0.0, 2.0**-53, 2.0**-51, 0.9, 1.0]), st.floats(0.0, 1.0)),
+    anchors=st.lists(
+        st.one_of(
+            st.sampled_from([0.1, np.nextafter(0.5, 0.0), 0.5, np.nextafter(1.0, 0.0), 1.0]),
+            st.floats(1e-3, 3.0),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_s3_step0_collision_bound_is_the_assembled_bound(basis30, gamma, anchors):
+    """Step 0 is pinned to the measured state, and assembly alone sets its
+    collision bound ``min(1, anchor)``: at every gamma S3 clips each target's
+    step-0 magnitude to ``lo_base``'s step-0 entry, bit for bit."""
+    start = np.array([0.0, 0.0, 1.0])
+    targets = [
+        ConstraintTarget("obstacle", EllipsoidShape(1.0, 1.0, 1.0), np.tile(start - [a, 0.0, 0.0], (basis30.K, 1)))
+        for a in anchors
+    ]
+    problem = make_problem(basis30, PlanningConfig(gamma=gamma), start, [1.5, 0.0, 1.0], targets)
+    step0 = slice(2 * problem.K, None, problem.K)
+    assert problem.lo_base[step0].tobytes() == np.minimum(1.0, problem.anchors).tobytes()
+    assert clip_to_lower_bounds(problem)[step0].tobytes() == problem.lo_base[step0].tobytes()
+
+
+def test_s3_step0_bound_is_the_exact_anchor_at_gamma_zero(basis30):
+    """At gamma = 0 a target 0.1 m away bounds step 0 by the measured 0.1,
+    not by the barrier's ``1 + (0.1 - 1)``, which rounds to 0.09999999999999998."""
+    target = ConstraintTarget("obstacle", EllipsoidShape(1.0, 1.0, 1.0), np.tile([0.0, 0.0, 1.0], (basis30.K, 1)))
+    problem = make_problem(basis30, PlanningConfig(gamma=0.0), [0.1, 0.0, 1.0], [1.5, 0.0, 1.0], [target])
+    assert problem.anchors[0] == 0.1
+    assert clip_to_lower_bounds(problem)[2 * problem.K] == 0.1

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swarmplan import sim
@@ -234,6 +234,20 @@ def test_crowd_mission_keeps_its_golden_digest(monkeypatch):
     report = run_mission(generate_random(0, 32, 0, CROWD_WS))
     assert report.timeout and report.rounds == 11
     assert hashlib.sha256(report.canonical_bytes()).hexdigest() == CROWD_DIGEST
+
+
+@settings(max_examples=6)
+@given(n_agents=st.integers(2, 6), earlier=st.integers(1, 8), n_obstacles=st.integers(0, 3), seed=st.integers(0, 99))
+def test_canonical_bytes_do_not_depend_on_an_earlier_missions_agent_count(n_agents, earlier, n_obstacles, seed):
+    """A mission cut at 1 s gives the same report bytes whether it runs first
+    or after a mission with another number of agents in the same process."""
+    assume(earlier != n_agents)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "MISSION_TIME_LIMIT", 1.0)
+        scenario = generate_random(seed, n_agents, n_obstacles, WS)
+        first = run_mission(scenario).canonical_bytes()
+        run_mission(generate_random(seed + 1, earlier, n_obstacles, WS))
+        assert run_mission(scenario).canonical_bytes() == first
 
 
 def test_report_serialization_excludes_timing_in_canonical_bytes():

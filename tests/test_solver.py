@@ -361,8 +361,8 @@ def test_s3_bf_uses_anchor_and_previous_iterate():
     d = step_s3(problem, state, diff, omega_rows)
     K = problem.K
     gamma = 0.9
-    lo0 = 1 + (1 - gamma) * (problem.anchors[0] - 1)
-    assert d[problem.col_rows][0] >= lo0 - 1e-12
+    # Step 0 is pinned to the measured state: its bound is the assembled min(1, anchor), not the barrier.
+    assert d[problem.col_rows][0] >= min(1.0, problem.anchors[0])
     lo_rest = 1 + (1 - gamma) * (d_prev[:-1] - 1)
     assert np.all(d[problem.col_rows][1:] >= lo_rest - 1e-12)
 
